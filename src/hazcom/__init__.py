@@ -48,9 +48,7 @@ from .engine import (
     PendingQueue,
     StageTimers,
     StepResult,
-    TimerProfile,
     TraceRecord,
-    compute_latency,
     fallback_output,
     read_trace,
     write_trace,

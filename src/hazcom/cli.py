@@ -27,7 +27,7 @@ from .core import (
     enum_from_label,
 )
 from .dispatch import dispatch, memory_registry
-from .engine import EngineConfig, TraceRecord, read_trace, write_trace
+from .engine import EngineConfig, TraceRecord, read_json_lines, read_trace, write_trace
 from .harness import (
     MixConfig,
     SuiteReport,
@@ -82,7 +82,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="scripted | object-baseline | location-baseline | remote:<addr> "
              "(repeatable)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="ignored: runs draw no random numbers; accepted for compatibility",
+    )
     parser.add_argument(
         "--t-max", type=float, default=20.0, metavar="SECONDS",
         help="latency budget in seconds (default 20)",
@@ -152,37 +155,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    specs = args.backends or ["scripted", "object-baseline"]
-    if len(specs) != 2:
+    args.backends = args.backends or ["scripted", "object-baseline"]
+    if len(args.backends) != 2:
         raise ConfigurationError(
-            f"compare needs exactly two --backend flags, got {len(specs)}"
+            f"compare needs exactly two --backend flags, got {len(args.backends)}"
         )
-    scenarios = _load_suite(args)
-    timeout_ticks = seconds_to_ticks(args.t_max)
-    backends = {spec: make_backend(spec, timeout_ticks) for spec in specs}
-    report = run_suite(scenarios, backends, _build_config(args))
-    _emit(_render_report(report, args.format), args.report)
-    if args.trace:
-        _write_traces(report, args.trace)
-    return EXIT_VIOLATION if report.total_violations else EXIT_CLEAN
+    return cmd_run(args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    path = Path(args.trace_file)
-    if not path.exists():
-        raise ConfigurationError(f"trace file not found: {path}")
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: not JSON: {exc.msg}"
-                ) from exc
+    records = [doc for _, doc in read_json_lines(args.trace_file)]
     violations = oracle_verify(records)
     for violation in violations:
         print(violation)
@@ -209,10 +191,7 @@ def _output_from_record(record: TraceRecord) -> CommOutput | None:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    path = Path(args.trace_file)
-    if not path.exists():
-        raise ConfigurationError(f"trace file not found: {path}")
-    records = read_trace(path)
+    records = read_trace(args.trace_file)
     sinks = memory_registry()
     delivered = []
     for record in records:

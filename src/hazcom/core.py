@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Type, TypeVar
@@ -53,6 +53,7 @@ class HazardCategory(Enum):
 _CRITICALITY_RANK = {"Low": 0, "Medium": 1, "High": 2}
 
 
+@total_ordering
 class Criticality(Enum):
     """Overall severity grade; totally ordered Low < Medium < High."""
 
@@ -68,21 +69,6 @@ class Criticality(Enum):
         if not isinstance(other, Criticality):
             return NotImplemented
         return self.rank < other.rank
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Criticality):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Criticality):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Criticality):
-            return NotImplemented
-        return self.rank >= other.rank
 
 
 class TimeSensitivity(Enum):
@@ -198,6 +184,14 @@ def band_risk(risk: RiskScore) -> Criticality:
         return Criticality.MEDIUM
     return Criticality.HIGH
 
+
+#: A band-representative score per grade, for outputs that have a grade but
+#: no measured score (fixed-grade baselines, fallback alerts).
+REPRESENTATIVE_RISK: Mapping[Criticality, float] = {
+    Criticality.LOW: 2.0,
+    Criticality.MEDIUM: 6.0,
+    Criticality.HIGH: 9.0,
+}
 
 #: Tone interval per criticality, mirroring the risk bands.  The upper bound
 #: is exclusive except for High, which includes the top of the scale.
@@ -407,6 +401,25 @@ def compose_message(
     return template.format(location=location_phrase(env.location_type))
 
 
+def policy_output(
+    text: str, risk: RiskScore, category: HazardCategory | None
+) -> CommOutput:
+    """The communication decision carrying ``text`` at score ``risk``.
+
+    The score's grade fixes the tone, character, alarm and recipients.
+    """
+    criticality = band_risk(risk)
+    message = MessageTuple(text=text, tone=tone_for(risk), character=character_for(criticality))
+    return CommOutput(
+        message=message,
+        recipients=recipients_for(criticality),
+        alarm=alarm_for(criticality),
+        criticality=criticality,
+        risk=risk,
+        category=category,
+    )
+
+
 def assemble_output(
     category: HazardCategory,
     risk: RiskScore,
@@ -417,14 +430,5 @@ def assemble_output(
 
     Pure: identical inputs always produce an identical output.
     """
-    criticality = band_risk(risk)
-    text = compose_message(category, criticality, env, table=table)
-    message = MessageTuple(text=text, tone=tone_for(risk), character=character_for(criticality))
-    return CommOutput(
-        message=message,
-        recipients=recipients_for(criticality),
-        alarm=alarm_for(criticality),
-        criticality=criticality,
-        risk=risk,
-        category=category,
-    )
+    text = compose_message(category, band_risk(risk), env, table=table)
+    return policy_output(text, risk, category)

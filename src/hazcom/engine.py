@@ -16,7 +16,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .clock import Clock, VirtualClock
 from .core import (
@@ -27,32 +27,29 @@ from .core import (
     Criticality,
     Feasibility,
     HazardCategory,
-    MessageTuple,
+    REPRESENTATIVE_RISK,
     RiskScore,
     TemplateTable,
     TimeSensitivity,
     ValidationError,
-    alarm_for,
     assemble_output,
     band_risk,
-    character_for,
     enum_from_label,
-    recipients_for,
-    tone_for,
+    policy_output,
 )
 from .perception import Backend, BackendError, HazardAssessment, Observation
 
 
 @dataclass(frozen=True)
-class TimerProfile:
-    """Simulated stage costs in ticks (0.1 s each).
+class StageTimers:
+    """Stage durations of one step in ticks (0.1 s each).
 
     Defaults follow the measured deployment profile: 2.5 s onboard
     (camera 1.0 s + saliency map 1.5 s), 9.5 s model round-trip, and
-    negligible local communication time.  ``t_llm`` is the nominal backend
-    cost for backends that do not consume clock time themselves;
-    clock-advancing wrappers (fault injection, virtual transports) stack
-    on top of it.
+    negligible local communication time.  As the engine's nominal profile,
+    ``t_llm`` is the backend cost for backends that do not consume clock
+    time themselves; clock-advancing wrappers (fault injection, virtual
+    transports) stack on top of it.
     """
 
     t_camera: int = 10
@@ -64,6 +61,11 @@ class TimerProfile:
         for name in ("t_camera", "t_heatmap", "t_llm", "t_comm"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+
+    @property
+    def total(self) -> int:
+        """Total step latency: the exact sum of the four stage durations."""
+        return self.t_camera + self.t_heatmap + self.t_llm + self.t_comm
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class EngineConfig:
     t_max: int = 200
     weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     fatigue_lambda: float = 1.0
-    timers: TimerProfile = field(default_factory=TimerProfile)
+    timers: StageTimers = field(default_factory=StageTimers)
     suppression_window: int = 50
 
     def __post_init__(self) -> None:
@@ -94,30 +96,6 @@ class EngineConfig:
             raise ValidationError("weights must be four non-negative reals")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1, got {sum(self.weights)}")
-
-
-@dataclass(frozen=True)
-class StageTimers:
-    """Per-stage durations of one step, in ticks."""
-
-    t_camera: int
-    t_heatmap: int
-    t_llm: int
-    t_comm: int
-
-    def __post_init__(self) -> None:
-        for name in ("t_camera", "t_heatmap", "t_llm", "t_comm"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return compute_latency(self)
-
-
-def compute_latency(timers: StageTimers) -> int:
-    """Total step latency: the exact sum of the four stage durations."""
-    return timers.t_camera + timers.t_heatmap + timers.t_llm + timers.t_comm
 
 
 @dataclass(frozen=True)
@@ -194,7 +172,7 @@ class TraceRecord:
                 fallback=bool(doc["fallback"]),
                 text=doc.get("text"),
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -205,20 +183,31 @@ def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
             fh.write(json.dumps(record.to_wire(), sort_keys=True) + "\n")
 
 
+def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
+    """Yield ``("<path>:<line>", document)`` for each non-blank line.
+
+    An unreadable file, bytes that are not UTF-8 and a line that is not
+    JSON each raise :class:`ValidationError` naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{line_no}"
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{where}: not JSON: {exc}") from exc
+                yield where, doc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """Parse a trace log written by :func:`write_trace`."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{line_no}: not JSON: {exc}") from exc
-            records.append(TraceRecord.from_wire(doc, where=f"{path}:{line_no}"))
-    return records
+    return [TraceRecord.from_wire(doc, where) for where, doc in read_json_lines(path)]
 
 
 class PendingQueue:
@@ -256,14 +245,7 @@ class StepResult:
     record: TraceRecord
 
 
-# Pre-formulated fallback alerts: fixed text per criticality, plus a
-# band-representative score so the output passes every policy check.
-_FALLBACK_RISK = {
-    Criticality.LOW: 2.0,
-    Criticality.MEDIUM: 6.0,
-    Criticality.HIGH: 9.0,
-}
-
+# Pre-formulated fallback alerts: fixed text per criticality.
 _FALLBACK_TEXT = {
     Criticality.LOW: (
         "Notice: a monitored situation nearby could not be re-checked in "
@@ -288,19 +270,8 @@ def fallback_output(last_known: Criticality | None) -> CommOutput:
     attention without maximal escalation.
     """
     criticality = last_known if last_known is not None else Criticality.MEDIUM
-    risk = RiskScore(_FALLBACK_RISK[criticality])
-    message = MessageTuple(
-        text=_FALLBACK_TEXT[criticality],
-        tone=tone_for(risk),
-        character=character_for(criticality),
-    )
-    return CommOutput(
-        message=message,
-        recipients=recipients_for(criticality),
-        alarm=alarm_for(criticality),
-        criticality=criticality,
-        risk=risk,
-        category=None,
+    return policy_output(
+        _FALLBACK_TEXT[criticality], RiskScore(REPRESENTATIVE_RISK[criticality]), None
     )
 
 
@@ -367,6 +338,7 @@ class Engine:
             backend_failed = True
         t_llm = self.clock.now - llm_start
 
+        timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
         output: Optional[CommOutput] = None
         fallback_used = False
         if backend_failed:
@@ -377,12 +349,10 @@ class Engine:
         elif assessment is None:
             # Explicit no-hazard: clear the alarm, nothing to say.
             self.alarm_latched = False
+            timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, 0)
         else:
             self.clock.advance(profile.t_comm)
-            timers_so_far = StageTimers(
-                profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm
-            )
-            if timers_so_far.total > self.config.t_max:
+            if timers.total > self.config.t_max:
                 # The verdict arrived past the deadline; the pre-formulated
                 # alert from the last known criticality goes out instead.
                 output = self.apply_fallback()
@@ -394,12 +364,6 @@ class Engine:
                 )
             self.last_known_criticality = band_risk(assessment.risk)
 
-        timers = StageTimers(
-            t_camera=profile.t_camera,
-            t_heatmap=profile.t_heatmap,
-            t_llm=t_llm,
-            t_comm=profile.t_comm if output is not None else 0,
-        )
         if output is not None:
             self.alarm_latched = output.alarm
             self.enqueue(output)

@@ -52,6 +52,7 @@ from .perception import (
     FaultProfile,
     Observation,
     builtin_rule_table,
+    encode_observation,
     scripted_assess,
     with_fault_injection,
 )
@@ -513,22 +514,6 @@ def _truth_from_dict(doc: Optional[dict], where: str) -> Optional[StepTruth]:
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
-def _observation_to_dict(obs: Observation) -> dict:
-    return {
-        "timestamp": obs.timestamp,
-        "caption": obs.scene_caption,
-        "entities": [
-            {"object_label": e.object_label, "attribute": e.attribute}
-            for e in obs.salient_entities
-        ],
-        "env": {
-            "location_type": obs.env.location_type.value,
-            "crowd_density": obs.env.crowd_density.value,
-            "vulnerable_present": obs.env.vulnerable_present,
-        },
-    }
-
-
 def _observation_from_dict(doc: dict, where: str) -> Observation:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: observation must be an object")
@@ -551,7 +536,7 @@ def _observation_from_dict(doc: dict, where: str) -> Observation:
                 vulnerable_present=bool(env_doc.get("vulnerable_present", False)),
             ),
         )
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ConfigurationError(f"{where}: invalid observation: {exc}") from exc
 
 
@@ -559,7 +544,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     doc: dict = {
         "id": scenario.scenario_id,
         "steps": [
-            {"observation": _observation_to_dict(o), "truth": _truth_to_dict(t)}
+            {"observation": encode_observation(o), "truth": _truth_to_dict(t)}
             for o, t in zip(scenario.observations, scenario.ground_truth)
         ],
     }
@@ -585,10 +570,12 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
                 failure_rate=float(fp.get("failure_rate", 0.0)),
                 seed=int(fp.get("seed", 0)),
             )
-        except (TypeError, ValueError, ValidationError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError, ValidationError) as exc:
             raise ConfigurationError(
                 f"{where} ({scenario_id}): invalid fault profile: {exc}"
             ) from exc
+    if not isinstance(doc["steps"], list):
+        raise ConfigurationError(f"{where} ({scenario_id}): 'steps' must be a list")
     observations = []
     truths = []
     for index, step in enumerate(doc["steps"]):
@@ -621,15 +608,18 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
         raise ConfigurationError(
             f"{path}:{exc.lineno}: not valid JSON: {exc.msg}"
         ) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(document, dict) or document.get("format") != SCENARIO_FORMAT:
         raise ConfigurationError(
             f"{path}: expected a {SCENARIO_FORMAT!r} document"
         )
+    entries = document.get("scenarios", [])
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{path}: 'scenarios' must be a list")
     scenarios = [
         scenario_from_dict(doc, f"{path}: scenario {index}")
-        for index, doc in enumerate(document.get("scenarios", []))
+        for index, doc in enumerate(entries)
     ]
     if not scenarios:
         raise ConfigurationError(f"{path}: no scenarios")

@@ -67,8 +67,11 @@ def oracle_verify(records: Iterable[Mapping]) -> list[Violation]:
         missing = [key for key in _REQUIRED_KEYS if key not in record]
         if missing:
             raise _malformed(index, f"missing fields {missing}")
-        if not isinstance(record["recipients"], (list, tuple)):
-            raise _malformed(index, "'recipients' must be a list")
+        recipients = record["recipients"]
+        if not isinstance(recipients, (list, tuple)) or not all(
+            isinstance(channel, str) for channel in recipients
+        ):
+            raise _malformed(index, "'recipients' must be a list of strings")
         if record["k"] is None:
             violations.extend(_verify_no_hazard(index, record))
         else:

@@ -33,6 +33,7 @@ from .core import (
     Feasibility,
     HazardCategory,
     LocationType,
+    REPRESENTATIVE_RISK,
     RiskScore,
     TimeSensitivity,
     ValidationError,
@@ -70,6 +71,11 @@ class Entity:
     attribute: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.object_label, str) or not isinstance(self.attribute, str):
+            raise ValidationError(
+                f"entity label and attribute must be strings, got "
+                f"{self.object_label!r}, {self.attribute!r}"
+            )
         if not self.object_label:
             raise ValidationError("entity object_label must be non-empty")
 
@@ -401,12 +407,6 @@ _LOCATION_POLICY = {
     LocationType.RESTRICTED_AREA: Criticality.HIGH,
 }
 
-_LEVEL_SCORE = {
-    Criticality.LOW: 2.0,
-    Criticality.MEDIUM: 6.0,
-    Criticality.HIGH: 9.0,
-}
-
 
 def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     """Fixed criticality looked up from the location type alone.
@@ -428,7 +428,7 @@ def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     return HazardAssessment(
         category=category,
         factors=ContextFactors(level, tau, phi),
-        risk=RiskScore(_LEVEL_SCORE[level]),
+        risk=RiskScore(REPRESENTATIVE_RISK[level]),
         rationale=(
             f"location policy: anything in the {obs.env.location_type.value} "
             f"is {level.value}"
@@ -487,19 +487,18 @@ def decode_observation(doc: dict) -> Observation:
     if not isinstance(doc, dict):
         raise BackendResponseError("request must be a JSON object")
     _require_exact_fields(doc, _REQUEST_FIELDS, "request")
-    entities = []
     if not isinstance(doc["entities"], list):
         raise BackendResponseError("'entities' must be a list")
     for item in doc["entities"]:
         if not isinstance(item, dict):
             raise BackendResponseError("each entity must be an object")
         _require_exact_fields(item, _ENTITY_FIELDS, "entity")
-        entities.append(Entity(item["object_label"], item["attribute"]))
     env_doc = doc["env"]
     if not isinstance(env_doc, dict):
         raise BackendResponseError("'env' must be an object")
     _require_exact_fields(env_doc, _ENV_FIELDS, "env")
     try:
+        entities = [Entity(e["object_label"], e["attribute"]) for e in doc["entities"]]
         env = EnvContext(
             location_type=enum_from_label(LocationType, env_doc["location_type"]),
             crowd_density=enum_from_label(CrowdDensity, env_doc["crowd_density"]),

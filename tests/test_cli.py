@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,20 @@ class TestRun:
         assert main(argv + ["--report", str(b)]) == EXIT_CLEAN
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suite, digest", [
+        ("builtin", "20a19019c1213e2def864ca122cd969ccf3c6611610c4354b3f9b2a781d96fa1"),
+        ("sixty", "fa631b8fc538de20fabe14fc35c16d641b48f626fd3c6376831257ac3104b39d"),
+    ])
+    def test_structured_report_matches_golden_digest(self, tmp_path, suite, digest):
+        path = tmp_path / "report.json"
+        code = main([
+            "run", "--suite", suite, "--backend", "scripted",
+            "--backend", "object-baseline", "--backend", "location-baseline",
+            "--format", "structured", "--report", str(path),
+        ])
+        assert code == EXIT_CLEAN
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestCompare:
     def test_compare_defaults(self, capsys):
@@ -119,6 +134,15 @@ class TestVerifyAndReplay:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         assert main(["verify", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["verify", "replay"])
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    def test_unreadable_trace_is_config_error(self, trace_path, command, unreadable):
+        if unreadable == "directory":
+            trace_path = trace_path.parent
+        else:
+            trace_path.write_bytes(b"\xff" + trace_path.read_bytes())
+        assert main([command, str(trace_path)]) == EXIT_CONFIG
 
     def test_replay_redelivers(self, trace_path, capsys):
         assert main(["replay", str(trace_path)]) == EXIT_CLEAN

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 
@@ -17,7 +18,6 @@ from hazcom import (
     StageTimers,
     ValidationError,
     assemble_output,
-    compute_latency,
     fallback_output,
     read_trace,
     recipients_for,
@@ -61,7 +61,7 @@ class TestClock:
 class TestStageTimers:
     def test_paper_profile_sums_to_twelve_seconds(self):
         timers = StageTimers(t_camera=10, t_heatmap=15, t_llm=95, t_comm=0)
-        assert compute_latency(timers) == 120
+        assert timers.total == 120
         assert ticks_to_seconds(timers.total) == 12.0
 
     def test_all_zero(self):
@@ -399,5 +399,16 @@ class TestTraceIO:
     def test_malformed_line_raises_with_location(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"tick": 0}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match="trace.jsonl:1"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field, value", [("tick", float("inf")), ("rho", 10**400)])
+    def test_overflowing_number_raises_with_location(
+        self, tmp_path, s1_obs, scripted, field, value
+    ):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record])
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(record, **{field: value})) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="trace.jsonl:1"):
             read_trace(path)

@@ -181,6 +181,35 @@ class TestScenarioFiles:
         with pytest.raises(ConfigurationError, match="duplicate"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["scenarios"][0].update(fault_profile=[1]),
+            lambda doc: doc["scenarios"][0].update(steps=5),
+            lambda doc: doc.update(scenarios=7),
+            lambda doc: doc["scenarios"][0]["steps"][1]["observation"]["entities"][0]
+            .update(object_label=5),
+            lambda doc: doc["scenarios"][0]["steps"][1]["observation"]
+            .update(timestamp=float("inf")),
+            None,
+        ],
+        ids=[
+            "fault-profile-not-object", "steps-not-list", "scenarios-not-list",
+            "label-not-string", "timestamp-infinite", "not-utf8",
+        ],
+    )
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, corrupt):
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        if corrupt is None:
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            document = json.loads(path.read_text())
+            corrupt(document)
+            path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError):
+            load_scenarios(path)
+
 
 class TestGenerate:
     def test_same_seed_same_suite(self):

@@ -135,6 +135,13 @@ class TestMalformedTraces:
         with pytest.raises(ValidationError, match="rho"):
             oracle_verify(records)
 
+    def test_non_string_recipient_raises(self):
+        records = clean_records()
+        target = next(r for r in records if r["k"] is not None)
+        target["recipients"] = [{}]
+        with pytest.raises(ValidationError, match="recipients"):
+            oracle_verify(records)
+
 
 class TestFuzzCampaign:
     def test_thousand_single_field_corruptions_all_detected(self):

@@ -42,6 +42,12 @@ class TestObservation:
         with pytest.raises(ValidationError):
             Entity("", "attr")
 
+    def test_entity_fields_must_be_strings(self):
+        with pytest.raises(ValidationError, match="strings"):
+            Entity(5, "attr")
+        with pytest.raises(ValidationError, match="strings"):
+            Entity("knife", None)
+
 
 class TestHazardAssessment:
     def test_band_coherence_enforced(self):

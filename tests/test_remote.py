@@ -101,6 +101,12 @@ class TestWireFormat:
         with pytest.raises(BackendResponseError, match="extra"):
             decode_observation(doc)
 
+    def test_non_string_entity_label_rejected(self, s1_obs):
+        doc = encode_observation(s1_obs)
+        doc["entities"][0]["object_label"] = 5
+        with pytest.raises(BackendResponseError, match="strings"):
+            decode_observation(doc)
+
 
 class TestScriptedTransportDeadline:
     def test_fast_response_parses(self, s1_obs):
