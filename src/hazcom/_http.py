@@ -34,7 +34,7 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
         raise TimeoutError(f"no response from {url} within {timeout_s}s") from exc
     try:
         document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"non-JSON response from {url}: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"expected a JSON object from {url}")

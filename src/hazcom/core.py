@@ -1,18 +1,21 @@
 """Domain model and the deterministic communication policy.
 
-Everything in this module is a pure function over immutable values: risk
-banding, tone coupling, character/alarm/recipient selection, and
+Everything in this module is a deterministic function over immutable values:
+risk banding, tone coupling, character/alarm/recipient selection, and
 template-based message composition.  No I/O, no clock, no randomness, so
 every operation is safe to call from any number of concurrent contexts.
+Assembled outputs are memoized and shared between callers; they are immutable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, total_ordering
+from functools import cache, lru_cache, total_ordering
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Type, TypeVar
 
 
@@ -27,11 +30,17 @@ class ConfigurationError(Exception):
 E = TypeVar("E", bound=Enum)
 
 
+@cache
+def _members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:
+    return {member.value: member for member in enum_cls}
+
+
 def enum_from_label(enum_cls: Type[E], label: str, context: str = "") -> E:
     """Look up an enum member by its canonical label, e.g. ``"Medium"``."""
-    for member in enum_cls:
-        if member.value == label:
-            return member
+    try:
+        return _members_by_label(enum_cls)[label]
+    except (KeyError, TypeError):  # unknown or unhashable label
+        pass
     valid = ", ".join(m.value for m in enum_cls)
     where = f" in {context}" if context else ""
     raise ValidationError(
@@ -231,13 +240,14 @@ def alarm_for(criticality: Criticality) -> bool:
     return criticality is not Criticality.LOW
 
 
-_RECIPIENTS_FOR = {
-    Criticality.LOW: frozenset({Channel.NEARBY}),
-    Criticality.MEDIUM: frozenset({Channel.NEARBY, Channel.REMOTE}),
-    Criticality.HIGH: frozenset(
-        {Channel.NEARBY, Channel.REMOTE, Channel.COORDINATION}
-    ),
+#: Recipients per criticality in delivery order; they nest as severity grows.
+RECIPIENTS_IN_ORDER: Mapping[Criticality, tuple[Channel, ...]] = {
+    Criticality.LOW: CHANNEL_ORDER[:1],
+    Criticality.MEDIUM: CHANNEL_ORDER[:2],
+    Criticality.HIGH: CHANNEL_ORDER,
 }
+
+_RECIPIENTS_FOR = {grade: frozenset(chs) for grade, chs in RECIPIENTS_IN_ORDER.items()}
 
 
 def recipients_for(criticality: Criticality) -> frozenset[Channel]:
@@ -317,9 +327,12 @@ def location_phrase(location: LocationType) -> str:
     return _LOCATION_PHRASE[location]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateTable:
     """Message templates keyed by (hazard category, criticality).
+
+    Tables hash by identity (they key the memo of :func:`assemble_output`),
+    and ``entries`` is a read-only copy, so a cached output never goes stale.
 
     File format, one record per line, ``#`` comments and blank lines
     ignored::
@@ -328,6 +341,9 @@ class TemplateTable:
     """
 
     entries: Mapping[tuple[HazardCategory, Criticality], str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def template_for(self, category: HazardCategory, criticality: Criticality) -> str:
         try:
@@ -428,7 +444,17 @@ def assemble_output(
 ) -> CommOutput:
     """Build the full communication decision from a hazard and risk score.
 
-    Pure: identical inputs always produce an identical output.
+    Memoized: identical inputs return the same shared, immutable output from
+    a bounded cache keyed on the table, category, score and location type.
+    The key keeps the score's sign, as ``-0.0`` and ``0.0`` serialize apart.
     """
-    text = compose_message(category, band_risk(risk), env, table=table)
+    value = risk.value
+    return _assembled(table, category, value, math.copysign(1.0, value), env.location_type)
+
+
+@lru_cache(maxsize=1024)
+def _assembled(table: TemplateTable | None, category: HazardCategory, value: float,
+               sign: float, location: LocationType) -> CommOutput:
+    risk = RiskScore(value)
+    text = compose_message(category, band_risk(risk), EnvContext(location), table=table)
     return policy_output(text, risk, category)

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Protocol, Union
 
 from . import _http
 from .clock import ticks_to_seconds
-from .core import CHANNEL_ORDER, Channel, CommOutput, ConfigurationError
+from .core import CHANNEL_ORDER, RECIPIENTS_IN_ORDER, Channel, CommOutput, ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def comm_output_wire(output: CommOutput, tick: int) -> dict:
         "gamma": output.message.tone,
         "chi": output.message.character.value,
         "text": output.message.text,
-        "recipients": [c.value for c in CHANNEL_ORDER if c in output.recipients],
+        "recipients": [c.value for c in RECIPIENTS_IN_ORDER[output.criticality]],
         "alarm": output.alarm,
     }
 
@@ -128,18 +128,13 @@ def dispatch(
     attempted; channels outside the recipient set are never invoked.
     """
     registry = sinks if isinstance(sinks, Mapping) else build_registry(sinks)
-    missing = [
-        ch.value
-        for ch in CHANNEL_ORDER
-        if ch in output.recipients and ch not in registry
-    ]
+    channels = RECIPIENTS_IN_ORDER[output.criticality]
+    missing = [ch.value for ch in channels if ch not in registry]
     if missing:
         raise ConfigurationError(f"no sink registered for channels: {missing}")
 
     records: list[DeliveryRecord] = []
-    for channel in CHANNEL_ORDER:
-        if channel not in output.recipients:
-            continue
+    for channel in channels:
         sink = registry[channel]
         try:
             record = sink.deliver(output, tick)

@@ -15,18 +15,19 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .clock import Clock, VirtualClock
 from .core import (
     Channel,
-    CHANNEL_ORDER,
     Character,
     CommOutput,
     Criticality,
     Feasibility,
     HazardCategory,
+    RECIPIENTS_IN_ORDER,
     REPRESENTATIVE_RISK,
     RiskScore,
     TemplateTable,
@@ -151,10 +152,11 @@ class TraceRecord:
             value = doc.get(key)
             return None if value is None else enum_from_label(enum_cls, value, where)
 
+        if not isinstance(doc["recipients"], list):
+            raise ValidationError(f"{where}: 'recipients' must be a list")
+        if not isinstance(doc.get("text"), (str, type(None))):
+            raise ValidationError(f"{where}: 'text' must be a string or null")
         try:
-            recipients = tuple(
-                enum_from_label(Channel, c, where) for c in doc["recipients"]
-            )
             return cls(
                 tick=int(doc["tick"]),
                 obs_id=str(doc["obs_id"]),
@@ -167,7 +169,7 @@ class TraceRecord:
                 tone=None if doc["gamma"] is None else float(doc["gamma"]),
                 character=opt("chi", Character),
                 alarm=bool(doc["alarm"]),
-                recipients=recipients,
+                recipients=tuple(enum_from_label(Channel, c, where) for c in doc["recipients"]),
                 t_total=int(doc["t_total"]),
                 fallback=bool(doc["fallback"]),
                 text=doc.get("text"),
@@ -198,7 +200,7 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
                 where = f"{path}:{line_no}"
                 try:
                     doc = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise ValidationError(f"{where}: not JSON: {exc}") from exc
                 yield where, doc
     except (OSError, UnicodeDecodeError) as exc:
@@ -263,11 +265,12 @@ _FALLBACK_TEXT = {
 }
 
 
+@lru_cache(maxsize=4)
 def fallback_output(last_known: Criticality | None) -> CommOutput:
     """Conservative pre-formulated alert from the last known criticality.
 
     With no prior classification the alert grades Medium: enough to raise
-    attention without maximal escalation.
+    attention without maximal escalation.  Each alert is built once, then shared.
     """
     criticality = last_known if last_known is not None else Criticality.MEDIUM
     return policy_output(
@@ -392,7 +395,6 @@ class Engine:
                 criticality=None, tone=None, character=None, alarm=False,
                 recipients=(), t_total=timers.total, fallback=False, text=None,
             )
-        recipients = tuple(c for c in CHANNEL_ORDER if c in output.recipients)
         return TraceRecord(
             tick=tick,
             obs_id=obs_id,
@@ -405,7 +407,7 @@ class Engine:
             tone=output.message.tone,
             character=output.message.character,
             alarm=output.alarm,
-            recipients=recipients,
+            recipients=RECIPIENTS_IN_ORDER[output.criticality],
             t_total=timers.total,
             fallback=fallback_used,
             text=output.message.text,

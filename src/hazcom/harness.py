@@ -608,6 +608,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
         raise ConfigurationError(
             f"{path}:{exc.lineno}: not valid JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON: nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(document, dict) or document.get("format") != SCENARIO_FORMAT:

@@ -16,8 +16,9 @@ for exercising the engine's budget/fallback path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fnmatch import fnmatchcase
+import re
+from dataclasses import dataclass, field
+from fnmatch import translate
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -146,6 +147,11 @@ class Emission:
     risk: RiskScore
 
 
+def _glob(pattern: str) -> Callable[[str], Optional[re.Match]]:
+    """Compiled case-sensitive glob matcher, the same test as ``fnmatchcase``."""
+    return re.compile(translate(pattern)).match
+
+
 @dataclass(frozen=True)
 class Rule:
     """One match row; ``emission=None`` marks the entity as benign."""
@@ -156,11 +162,17 @@ class Rule:
     crowd: CrowdDensity | None
     vulnerable: bool | None
     emission: Emission | None
+    _object_match: Callable = field(init=False, repr=False, compare=False)
+    _attribute_match: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_object_match", _glob(self.object_pattern))
+        object.__setattr__(self, "_attribute_match", _glob(self.attribute_pattern))
 
     def matches(self, entity: Entity, env: EnvContext) -> bool:
-        if not fnmatchcase(entity.object_label.lower(), self.object_pattern):
+        if not self._object_match(entity.object_label.lower()):
             return False
-        if not fnmatchcase(entity.attribute.lower(), self.attribute_pattern):
+        if not self._attribute_match(entity.attribute.lower()):
             return False
         if self.location is not None and env.location_type is not self.location:
             return False
@@ -344,27 +356,27 @@ _FACTORS_BY_LEVEL = {
     Criticality.HIGH: (TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED),
 }
 
-# Object-identity policy: label pattern -> (category, fixed level, fixed score).
-_OBJECT_POLICY: tuple[tuple[str, HazardCategory, Criticality, float], ...] = (
-    ("*knife*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 9.0),
-    ("*scissors*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
-    ("*glass*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
-    ("*gun*", HazardCategory.SUSPICIOUS_ITEM, Criticality.HIGH, 9.5),
-    ("*person*", HazardCategory.PERSON_DOWN, Criticality.HIGH, 8.0),
-    ("*crowd*", HazardCategory.DISTRESS, Criticality.HIGH, 8.5),
-    ("*trash*", HazardCategory.WASTE, Criticality.LOW, 1.0),
-    ("*garbage*", HazardCategory.WASTE, Criticality.LOW, 1.0),
-    ("*litter*", HazardCategory.WASTE, Criticality.LOW, 1.5),
-    ("*bag*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
-    ("*package*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
-    ("*suitcase*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+# Object-identity policy: label matcher -> (category, fixed level, fixed score).
+_OBJECT_POLICY: tuple[tuple[Callable, HazardCategory, Criticality, float], ...] = (
+    (_glob("*knife*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 9.0),
+    (_glob("*scissors*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
+    (_glob("*glass*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
+    (_glob("*gun*"), HazardCategory.SUSPICIOUS_ITEM, Criticality.HIGH, 9.5),
+    (_glob("*person*"), HazardCategory.PERSON_DOWN, Criticality.HIGH, 8.0),
+    (_glob("*crowd*"), HazardCategory.DISTRESS, Criticality.HIGH, 8.5),
+    (_glob("*trash*"), HazardCategory.WASTE, Criticality.LOW, 1.0),
+    (_glob("*garbage*"), HazardCategory.WASTE, Criticality.LOW, 1.0),
+    (_glob("*litter*"), HazardCategory.WASTE, Criticality.LOW, 1.5),
+    (_glob("*bag*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+    (_glob("*package*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+    (_glob("*suitcase*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
 )
 
 
 def _object_identity(label: str) -> tuple[HazardCategory, Criticality, float] | None:
     lowered = label.lower()
-    for pattern, category, level, score in _OBJECT_POLICY:
-        if fnmatchcase(lowered, pattern):
+    for match, category, level, score in _OBJECT_POLICY:
+        if match(lowered):
             return category, level, score
     return None
 
@@ -497,6 +509,8 @@ def decode_observation(doc: dict) -> Observation:
     if not isinstance(env_doc, dict):
         raise BackendResponseError("'env' must be an object")
     _require_exact_fields(env_doc, _ENV_FIELDS, "env")
+    if not isinstance(doc["caption"], str):
+        raise BackendResponseError("'caption' must be a string")
     try:
         entities = [Entity(e["object_label"], e["attribute"]) for e in doc["entities"]]
         env = EnvContext(

@@ -26,7 +26,14 @@ from hazcom import (
     recipients_for,
     tone_for,
 )
-from hazcom.core import builtin_templates, tone_in_band
+from hazcom.core import (
+    CHANNEL_ORDER,
+    RECIPIENTS_IN_ORDER,
+    _assembled,
+    builtin_templates,
+    enum_from_label,
+    tone_in_band,
+)
 from hazcom.dispatch import comm_output_wire
 
 risk_values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -123,6 +130,12 @@ class TestCharacterAlarmRecipients:
             Channel.NEARBY, Channel.REMOTE, Channel.COORDINATION,
         }
 
+    def test_recipients_in_order_are_the_sets_in_channel_order(self):
+        for grade in Criticality:
+            ordered = RECIPIENTS_IN_ORDER[grade]
+            assert set(ordered) == recipients_for(grade)
+            assert list(ordered) == [c for c in CHANNEL_ORDER if c in ordered]
+
     def test_recipient_monotonicity(self):
         grades = sorted(Criticality, key=lambda k: k.rank)
         for lower in grades:
@@ -204,6 +217,16 @@ class TestTemplateTable:
         path.write_text("Waste|Low|cleanup at the {location}\n", encoding="utf-8")
         table = TemplateTable.load(path)
         assert (HazardCategory.WASTE, Criticality.LOW) in table.entries
+
+    def test_entries_are_a_read_only_copy(self):
+        entries = {(HazardCategory.WASTE, Criticality.LOW): "cleanup at the {location}"}
+        table = TemplateTable(entries)
+        entries[(HazardCategory.WASTE, Criticality.LOW)] = "changed at the {location}"
+        assert table.template_for(HazardCategory.WASTE, Criticality.LOW) == (
+            "cleanup at the {location}"
+        )
+        with pytest.raises(TypeError):
+            table.entries[(HazardCategory.WASTE, Criticality.HIGH)] = "x {location}"
 
     def test_builtin_covers_all_pairs(self):
         table = builtin_templates()
@@ -291,4 +314,54 @@ class TestAssembleOutput:
         assert a == b
         assert json.dumps(comm_output_wire(a, 7), sort_keys=True) == json.dumps(
             comm_output_wire(b, 7), sort_keys=True
+        )
+
+    def test_memo_returns_one_shared_output(self):
+        a = assemble_output(HazardCategory.WASTE, RiskScore(3.0), corridor())
+        b = assemble_output(HazardCategory.WASTE, RiskScore(3), corridor(CrowdDensity.DENSE))
+        assert a is b
+
+    def test_custom_table_after_builtin_output_is_cached(self):
+        builtin = assemble_output(HazardCategory.WASTE, RiskScore(2.0), corridor())
+        table = TemplateTable.parse("Waste|Low|custom note for the {location}")
+        custom = assemble_output(HazardCategory.WASTE, RiskScore(2.0), corridor(), table)
+        assert custom.message.text == "custom note for the corridor"
+        assert builtin.message.text != custom.message.text
+        assert assemble_output(
+            HazardCategory.WASTE, RiskScore(2.0), corridor()
+        ).message.text == builtin.message.text
+
+    def test_signed_zero_risks_serialize_apart(self):
+        def wire(value):
+            out = assemble_output(HazardCategory.WASTE, RiskScore(value), corridor())
+            return json.dumps(comm_output_wire(out, 0), sort_keys=True)
+
+        assert RiskScore(0.0) == RiskScore(-0.0)
+        positive, negative = wire(0.0), wire(-0.0)
+        assert '"rho": 0.0' in positive and '"rho": -0.0' in negative
+        assert wire(0.0) == positive and wire(-0.0) == negative
+
+    def test_memo_stays_within_its_bound(self):
+        bound = _assembled.cache_info().maxsize
+        for i in range(bound * 3):
+            rho = 10.0 * i / (bound * 3)
+            out = assemble_output(HazardCategory.WASTE, RiskScore(rho), corridor())
+            assert out.risk.value == rho
+        assert _assembled.cache_info().currsize <= bound
+
+
+class TestEnumFromLabel:
+    def test_known_label(self):
+        assert enum_from_label(Criticality, "Medium") is Criticality.MEDIUM
+        assert enum_from_label(Channel, "coordination") is Channel.COORDINATION
+
+    @pytest.mark.parametrize("label, shown", [
+        ("Sludge", "'Sludge'"), ([1], "[1]"), ({"a": 1}, "{'a': 1}"), (None, "None"),
+        (5, "5"), ("medium", "'medium'"),
+    ])
+    def test_unknown_or_unhashable_label_message(self, label, shown):
+        with pytest.raises(ValidationError) as info:
+            enum_from_label(Criticality, label, "ctx")
+        assert str(info.value) == (
+            f"unknown Criticality {shown} in ctx; expected one of: Low, Medium, High"
         )

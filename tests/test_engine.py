@@ -402,6 +402,26 @@ class TestTraceIO:
         with pytest.raises(ValidationError, match="trace.jsonl:1"):
             read_trace(path)
 
+    def test_deeply_nested_line_raises_with_location(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("[" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="trace.jsonl:1: not JSON"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("recipients", {"nearby": 1, "remote": 2, "coordination": 3}, "'recipients' must be a list"),
+        ("text", 7, "'text' must be a string"),
+    ], ids=["recipients-object", "text-number"])
+    def test_malformed_field_raises_with_location(
+        self, tmp_path, s1_obs, scripted, field, value, message
+    ):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record])
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(record, **{field: value})) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"trace.jsonl:1: {message}"):
+            read_trace(path)
+
     @pytest.mark.parametrize("field, value", [("tick", float("inf")), ("rho", 10**400)])
     def test_overflowing_number_raises_with_location(
         self, tmp_path, s1_obs, scripted, field, value

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -6,6 +8,7 @@ from hazcom import (
     ConfigurationError,
     Criticality,
     EngineConfig,
+    FaultProfile,
     HazardCategory,
     LocationBaselineBackend,
     MixConfig,
@@ -23,6 +26,7 @@ from hazcom import (
     scripted_assess,
     sixty_run_suite,
 )
+from hazcom.clock import seconds_to_ticks
 from hazcom.harness import run_scenario, truth_from_rules
 
 
@@ -181,6 +185,12 @@ class TestScenarioFiles:
         with pytest.raises(ConfigurationError, match="duplicate"):
             load_scenarios(path)
 
+    def test_deeply_nested_file_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="nested too deeply"):
+            load_scenarios(path)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -313,6 +323,31 @@ class TestRunSuite:
             return json.dumps(report.to_json_dict(), sort_keys=True)
 
         assert render() == render()
+
+    def test_faulted_report_matches_golden_digest(self):
+        # Pins the fallback path byte for byte: the delay grid of the fault
+        # sweep (0-30 s) on 60 all-hazard scenarios, a seeded third of them
+        # also failing at rate 0.3, so every fallback grade (no prior
+        # verdict, Low, Medium, High) is written by each local backend.
+        rng = random.Random(5)
+        delays = (0, 2.5, 5, 7.5, 10, 15, 20, 25, 30)
+        suite = [
+            Scenario(s.scenario_id, s.observations, s.ground_truth, FaultProfile(
+                added_delay=seconds_to_ticks(delays[i % len(delays)]),
+                failure_rate=0.3 if rng.random() < 1 / 3 else 0.0,
+                seed=rng.randrange(2**31),
+            ))
+            for i, s in enumerate(generate(5, 60, MixConfig(hazard_fraction=1.0)))
+        ]
+        report = run_suite(suite, {
+            "scripted": ScriptedBackend(),
+            "object-baseline": ObjectBaselineBackend(),
+            "location-baseline": LocationBaselineBackend(),
+        })
+        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "c95869a4c42b3a8233855948f6107b48f3d3c6dc96e27303a681d0e97b2191f9"
+        )
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+from fnmatch import fnmatchcase
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from hazcom import (
     with_fault_injection,
 )
 from hazcom.clock import VirtualClock
-from hazcom.perception import Entity, FaultProfile, ScriptedBackend
+from hazcom.perception import Entity, FaultProfile, Rule, ScriptedBackend
 
 from conftest import make_obs
 
@@ -157,6 +159,26 @@ class TestScripted:
         result = scripted_assess(builtin_rule_table(), obs)
         if result is not None:
             assert band_risk(result.risk) is result.factors.criticality_level
+
+    @given(st.text(alphabet="abAB*?[]!-^", max_size=8),
+           st.text(alphabet="knifeGLAS*?[]!-^", max_size=10),
+           st.text(alphabet="cookingTOY*?[]!-^", max_size=10))
+    def test_compiled_globs_match_like_fnmatchcase(self, pattern, label, attribute):
+        env = make_obs().env
+        entity = Entity(label or "x", attribute)
+        generated = (
+            Rule(pattern or "*", "*", None, None, None, None),
+            Rule("*", pattern or "*", None, None, None, None),
+        )
+        for rule in generated + builtin_rule_table().rules:
+            expected = (
+                fnmatchcase(entity.object_label.lower(), rule.object_pattern)
+                and fnmatchcase(entity.attribute.lower(), rule.attribute_pattern)
+                and rule.location in (None, env.location_type)
+                and rule.crowd in (None, env.crowd_density)
+                and rule.vulnerable in (None, env.vulnerable_present)
+            )
+            assert rule.matches(entity, env) == expected
 
     def test_determinism(self, s1_obs):
         backend = ScriptedBackend()

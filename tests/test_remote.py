@@ -11,6 +11,7 @@ from hazcom import (
     BackendTimeout,
     BackendTransportError,
     Criticality,
+    Engine,
     HazardCategory,
     RemoteBackend,
     ValidationError,
@@ -107,6 +108,11 @@ class TestWireFormat:
         with pytest.raises(BackendResponseError, match="strings"):
             decode_observation(doc)
 
+    def test_non_string_caption_rejected(self, s1_obs):
+        doc = dict(encode_observation(s1_obs), caption=5)
+        with pytest.raises(BackendResponseError, match="caption"):
+            decode_observation(doc)
+
 
 class TestScriptedTransportDeadline:
     def test_fast_response_parses(self, s1_obs):
@@ -138,12 +144,13 @@ class TestScriptedTransportDeadline:
 
 class _StubHandler(BaseHTTPRequestHandler):
     response_doc = VALID_RESPONSE
+    raw_body = None
     seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).seen.append(json.loads(self.rfile.read(length)))
-        body = json.dumps(type(self).response_doc).encode()
+        body = type(self).raw_body or json.dumps(type(self).response_doc).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -176,6 +183,15 @@ class TestHttpTransport:
         assert result.factors.criticality_level is Criticality.HIGH
         # The request body carried the full observation.
         assert _StubHandler.seen[0] == encode_observation(s1_obs)
+
+    def test_deeply_nested_reply_falls_back(self, s1_obs, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "raw_body", b"[" * 200_000)
+        backend = RemoteBackend(stub_server, timeout_ticks=50)
+        with pytest.raises(BackendResponseError, match="non-JSON"):
+            backend.assess(s1_obs)
+        result = Engine().step(s1_obs, backend)
+        assert result.fallback_used
+        assert result.output.criticality is Criticality.MEDIUM
 
     def test_unreachable_endpoint_is_transport_error(self, s1_obs):
         backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10)
