@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import urllib.error
@@ -12,7 +13,8 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
     Raises TimeoutError on deadline expiry, ConnectionError on transport
-    failure, and ValueError on a non-JSON or non-object response.
+    failure (including a truncated or malformed HTTP reply), and ValueError
+    on a non-JSON or non-object response.
     """
     body = json.dumps(document).encode("utf-8")
     request = urllib.request.Request(
@@ -32,6 +34,8 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
         raise ConnectionError(f"cannot reach {url}: {exc.reason}") from exc
     except (socket.timeout, TimeoutError) as exc:
         raise TimeoutError(f"no response from {url} within {timeout_s}s") from exc
+    except (http.client.HTTPException, OSError) as exc:  # e.g. truncated body, bad status line
+        raise ConnectionError(f"bad reply from {url}: {exc!r}") from exc
     try:
         document = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -7,8 +7,9 @@ output being delivered.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Union
+from typing import Protocol, Union
 
 from . import _http
 from .clock import ticks_to_seconds
@@ -37,13 +38,13 @@ def comm_output_wire(output: CommOutput, tick: int) -> dict:
     """Serialize a communication for network sinks and replay."""
     return {
         "tick": tick,
-        "category": output.category.value if output.category else None,
-        "k": output.criticality.value,
+        "category": output.category._value_ if output.category else None,
+        "k": output.criticality._value_,
         "rho": output.risk.value,
         "gamma": output.message.tone,
-        "chi": output.message.character.value,
+        "chi": output.message.character._value_,
         "text": output.message.text,
-        "recipients": [c.value for c in RECIPIENTS_IN_ORDER[output.criticality]],
+        "recipients": [c._value_ for c in RECIPIENTS_IN_ORDER[output.criticality]],
         "alarm": output.alarm,
     }
 
@@ -60,7 +61,7 @@ class MemorySink:
             channel=self.channel,
             tick=tick,
             success=True,
-            detail=f"{output.message.character.value}: {output.message.text}",
+            detail=f"{output.message.character._value_}: {output.message.text}",
         )
         self.log.append(record)
         return record

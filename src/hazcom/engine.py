@@ -120,19 +120,21 @@ class TraceRecord:
     text: str | None
 
     def to_wire(self) -> dict:
+        # Labels are read from each member's stored ``_value_``: the ``.value``
+        # descriptor costs ten times as much, and every record is encoded often.
         return {
             "tick": self.tick,
             "obs_id": self.obs_id,
-            "category": self.category.value if self.category else None,
-            "d": self.level.value if self.level else None,
-            "tau": self.time_sensitivity.value if self.time_sensitivity else None,
-            "phi": self.feasibility.value if self.feasibility else None,
+            "category": self.category._value_ if self.category else None,
+            "d": self.level._value_ if self.level else None,
+            "tau": self.time_sensitivity._value_ if self.time_sensitivity else None,
+            "phi": self.feasibility._value_ if self.feasibility else None,
             "rho": self.risk,
-            "k": self.criticality.value if self.criticality else None,
+            "k": self.criticality._value_ if self.criticality else None,
             "gamma": self.tone,
-            "chi": self.character.value if self.character else None,
+            "chi": self.character._value_ if self.character else None,
             "alarm": self.alarm,
-            "recipients": [c.value for c in self.recipients],
+            "recipients": [c._value_ for c in self.recipients],
             "t_total": self.t_total,
             "fallback": self.fallback,
             "text": self.text,
@@ -142,47 +144,49 @@ class TraceRecord:
     def from_wire(cls, doc: dict, where: str = "record") -> "TraceRecord":
         if not isinstance(doc, dict):
             raise ValidationError(f"{where}: not an object")
-        required = {"tick", "obs_id", "rho", "k", "gamma", "chi", "alarm",
-                    "recipients", "t_total", "fallback"}
-        missing = required - doc.keys()
-        if missing:
-            raise ValidationError(f"{where}: missing fields {sorted(missing)}")
-
-        def opt(key: str, enum_cls):
-            value = doc.get(key)
-            return None if value is None else enum_from_label(enum_cls, value, where)
-
-        if not isinstance(doc["recipients"], list):
+        if not _REQUIRED_WIRE_KEYS <= doc.keys():
+            missing = sorted(_REQUIRED_WIRE_KEYS - doc.keys())
+            raise ValidationError(f"{where}: missing fields {missing}")
+        recipients = doc["recipients"]
+        if not isinstance(recipients, list):
             raise ValidationError(f"{where}: 'recipients' must be a list")
-        if not isinstance(doc.get("text"), (str, type(None))):
+        text = doc.get("text")
+        if not isinstance(text, (str, type(None))):
             raise ValidationError(f"{where}: 'text' must be a string or null")
+        get, label = doc.get, enum_from_label
         try:
             return cls(
-                tick=int(doc["tick"]),
-                obs_id=str(doc["obs_id"]),
-                category=opt("category", HazardCategory),
-                level=opt("d", Criticality),
-                time_sensitivity=opt("tau", TimeSensitivity),
-                feasibility=opt("phi", Feasibility),
-                risk=None if doc["rho"] is None else float(doc["rho"]),
-                criticality=opt("k", Criticality),
-                tone=None if doc["gamma"] is None else float(doc["gamma"]),
-                character=opt("chi", Character),
-                alarm=bool(doc["alarm"]),
-                recipients=tuple(enum_from_label(Channel, c, where) for c in doc["recipients"]),
-                t_total=int(doc["t_total"]),
-                fallback=bool(doc["fallback"]),
-                text=doc.get("text"),
+                int(doc["tick"]),
+                str(doc["obs_id"]),
+                None if (v := get("category")) is None else label(HazardCategory, v, where),
+                None if (v := get("d")) is None else label(Criticality, v, where),
+                None if (v := get("tau")) is None else label(TimeSensitivity, v, where),
+                None if (v := get("phi")) is None else label(Feasibility, v, where),
+                None if (v := doc["rho"]) is None else float(v),
+                None if (v := doc["k"]) is None else label(Criticality, v, where),
+                None if (v := doc["gamma"]) is None else float(v),
+                None if (v := doc["chi"]) is None else label(Character, v, where),
+                bool(doc["alarm"]),
+                tuple(label(Channel, c, where) for c in recipients),
+                int(doc["t_total"]),
+                bool(doc["fallback"]),
+                text,
             )
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
 
+_REQUIRED_WIRE_KEYS = frozenset({"tick", "obs_id", "rho", "k", "gamma", "chi", "alarm",
+                                 "recipients", "t_total", "fallback"})
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
-    """Append step records to a trace log, one JSON document per line."""
+    """Append step records to a trace log, one sorted-key JSON document per line."""
+    encode = _TRACE_ENCODER.encode
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_wire(), sort_keys=True) + "\n")
+            fh.write(encode(record.to_wire()) + "\n")
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
@@ -341,7 +345,10 @@ class Engine:
             backend_failed = True
         t_llm = self.clock.now - llm_start
 
-        timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
+        timers = (
+            profile if t_llm == profile.t_llm
+            else StageTimers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
+        )
         output: Optional[CommOutput] = None
         fallback_used = False
         if backend_failed:
@@ -352,7 +359,8 @@ class Engine:
         elif assessment is None:
             # Explicit no-hazard: clear the alarm, nothing to say.
             self.alarm_latched = False
-            timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, 0)
+            if timers.t_comm:
+                timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, 0)
         else:
             self.clock.advance(profile.t_comm)
             if timers.total > self.config.t_max:

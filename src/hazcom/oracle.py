@@ -9,8 +9,8 @@ caught too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .core import ValidationError
 
@@ -30,6 +30,7 @@ _REQUIRED_KEYS = (
     "tick", "obs_id", "d", "tau", "phi", "rho", "k", "gamma", "chi",
     "alarm", "recipients", "t_total", "fallback",
 )
+_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
 
 _POLICY_FIELDS_WHEN_ABSENT = ("category", "d", "tau", "phi", "rho", "gamma", "chi")
 
@@ -64,8 +65,8 @@ def oracle_verify(records: Iterable[Mapping]) -> list[Violation]:
     for index, record in enumerate(records):
         if not isinstance(record, Mapping):
             raise _malformed(index, "not an object")
-        missing = [key for key in _REQUIRED_KEYS if key not in record]
-        if missing:
+        if not _REQUIRED_KEY_SET <= record.keys():
+            missing = [key for key in _REQUIRED_KEYS if key not in record]
             raise _malformed(index, f"missing fields {missing}")
         recipients = record["recipients"]
         if not isinstance(recipients, (list, tuple)) or not all(

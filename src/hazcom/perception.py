@@ -325,9 +325,9 @@ def scripted_assess(table: RuleTable, obs: Observation) -> Optional[HazardAssess
     assert emission is not None
     rationale = (
         f"{entity.object_label!r} ({entity.attribute or 'no attribute'}) in the "
-        f"{obs.env.location_type.value} matched rule "
+        f"{obs.env.location_type._value_} matched rule "
         f"{rule.object_pattern}|{rule.attribute_pattern} -> "
-        f"{emission.category.value}/{emission.level.value}"
+        f"{emission.category._value_}/{emission.level._value_}"
     )
     return HazardAssessment(
         category=emission.category,
@@ -405,7 +405,7 @@ def baseline_object_assess(obs: Observation) -> Optional[HazardAssessment]:
         risk=RiskScore(score),
         rationale=(
             f"object-identity policy: {entity.object_label!r} is always "
-            f"{level.value}, context ignored"
+            f"{level._value_}, context ignored"
         ),
     )
 
@@ -442,8 +442,8 @@ def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
         factors=ContextFactors(level, tau, phi),
         risk=RiskScore(REPRESENTATIVE_RISK[level]),
         rationale=(
-            f"location policy: anything in the {obs.env.location_type.value} "
-            f"is {level.value}"
+            f"location policy: anything in the {obs.env.location_type._value_} "
+            f"is {level._value_}"
         ),
     )
 

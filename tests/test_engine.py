@@ -422,6 +422,50 @@ class TestTraceIO:
         with pytest.raises(ValidationError, match=f"trace.jsonl:1: {message}"):
             read_trace(path)
 
+    _ENUM_LABELS = {
+        "category": "HazardCategory 'Bogus' in {where}; expected one of: SharpObject, "
+                    "PersonDown, Distress, SuspiciousItem, Waste, UnattendedItem",
+        "d": "Criticality 'Bogus' in {where}; expected one of: Low, Medium, High",
+        "tau": "TimeSensitivity 'Bogus' in {where}; expected one of: Immediate, Soon, NearFuture",
+        "phi": "Feasibility 'Bogus' in {where}; expected one of: Robot, PoC, HelpNeeded",
+        "k": "Criticality 'Bogus' in {where}; expected one of: Low, Medium, High",
+        "chi": "Character 'Bogus' in {where}; expected one of: inquiry, alert, urgent",
+    }
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: [r], "not an object"),
+        (lambda r: {k: v for k, v in r.items() if k not in ("tick", "chi", "fallback")},
+         "missing fields ['chi', 'fallback', 'tick']"),
+        *[
+            (lambda r, f=field, v=label: dict(r, **{f: v}),
+             "unknown " + expected.replace("'Bogus'", repr(label)))
+            for field, expected in _ENUM_LABELS.items()
+            for label in ("Bogus", ["Bogus"])
+        ],
+        (lambda r: dict(r, recipients=["nearby", "Bogus"]),
+         "unknown Channel 'Bogus' in {where}; expected one of: nearby, remote, coordination"),
+        (lambda r: dict(r, recipients=[["nearby"]]),
+         "unknown Channel ['nearby'] in {where}; expected one of: nearby, remote, coordination"),
+        (lambda r: dict(r, rho="high"), "could not convert string to float: 'high'"),
+        (lambda r: dict(r, gamma="high"), "could not convert string to float: 'high'"),
+        (lambda r: dict(r, tick=None),
+         "int() argument must be a string, a bytes-like object or a real number, "
+         "not 'NoneType'"),
+    ], ids=[
+        "not-object", "missing-fields",
+        *[f"{field}-{kind}" for field in _ENUM_LABELS for kind in ("unknown", "list")],
+        "recipient-unknown", "recipient-list", "rho-string", "gamma-string", "tick-null",
+    ])
+    def test_from_wire_error_messages(self, tmp_path, s1_obs, scripted, change, message):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record])
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(change(record)) + "\n", encoding="utf-8")
+        where = f"{path}:1"
+        with pytest.raises(ValidationError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == f"{where}: " + message.format(where=where)
+
     @pytest.mark.parametrize("field, value", [("tick", float("inf")), ("rho", 10**400)])
     def test_overflowing_number_raises_with_location(
         self, tmp_path, s1_obs, scripted, field, value

@@ -27,7 +27,34 @@ from hazcom import (
     sixty_run_suite,
 )
 from hazcom.clock import seconds_to_ticks
+from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario, truth_from_rules
+
+
+def local_backends():
+    return {
+        "scripted": ScriptedBackend(),
+        "object-baseline": ObjectBaselineBackend(),
+        "location-baseline": LocationBaselineBackend(),
+    }
+
+
+def faulted_suite():
+    """60 all-hazard scenarios over the fault sweep's 0-30 s delay grid.
+
+    A seeded third of them also fail at rate 0.3, so every fallback grade
+    (no prior verdict, Low, Medium, High) is written by each local backend.
+    """
+    rng = random.Random(5)
+    delays = (0, 2.5, 5, 7.5, 10, 15, 20, 25, 30)
+    return [
+        Scenario(s.scenario_id, s.observations, s.ground_truth, FaultProfile(
+            added_delay=seconds_to_ticks(delays[i % len(delays)]),
+            failure_rate=0.3 if rng.random() < 1 / 3 else 0.0,
+            seed=rng.randrange(2**31),
+        ))
+        for i, s in enumerate(generate(5, 60, MixConfig(hazard_fraction=1.0)))
+    ]
 
 
 class TestBuiltinSuite:
@@ -325,28 +352,35 @@ class TestRunSuite:
         assert render() == render()
 
     def test_faulted_report_matches_golden_digest(self):
-        # Pins the fallback path byte for byte: the delay grid of the fault
-        # sweep (0-30 s) on 60 all-hazard scenarios, a seeded third of them
-        # also failing at rate 0.3, so every fallback grade (no prior
-        # verdict, Low, Medium, High) is written by each local backend.
-        rng = random.Random(5)
-        delays = (0, 2.5, 5, 7.5, 10, 15, 20, 25, 30)
-        suite = [
-            Scenario(s.scenario_id, s.observations, s.ground_truth, FaultProfile(
-                added_delay=seconds_to_ticks(delays[i % len(delays)]),
-                failure_rate=0.3 if rng.random() < 1 / 3 else 0.0,
-                seed=rng.randrange(2**31),
-            ))
-            for i, s in enumerate(generate(5, 60, MixConfig(hazard_fraction=1.0)))
-        ]
-        report = run_suite(suite, {
-            "scripted": ScriptedBackend(),
-            "object-baseline": ObjectBaselineBackend(),
-            "location-baseline": LocationBaselineBackend(),
-        })
+        report = run_suite(faulted_suite(), local_backends())
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
             "c95869a4c42b3a8233855948f6107b48f3d3c6dc96e27303a681d0e97b2191f9"
+        )
+
+    def test_trace_files_match_golden_digest(self, tmp_path):
+        # Pins the bytes write_trace produces for every record of the
+        # builtin, sixty-run and faulted suites over the local backends,
+        # and that each file reads back to the same records.
+        digest = hashlib.sha256()
+        for name, suite in (
+            ("builtin", builtin_suite()),
+            ("sixty", sixty_run_suite()),
+            ("faulted", faulted_suite()),
+        ):
+            report = run_suite(suite, local_backends())
+            records = [
+                record
+                for backend_name in report.backend_names
+                for run in report.results[backend_name].runs.values()
+                for record in run.trace
+            ]
+            path = tmp_path / f"{name}.jsonl"
+            write_trace(path, records)
+            assert read_trace(path) == records
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "41b07f7c10e3fac250b58e13e8636ae4629aa971e7acb5f3d10815d93f5d4070"
         )
 
     def test_rejects_empty_inputs(self):

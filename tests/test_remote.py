@@ -10,6 +10,7 @@ from hazcom import (
     BackendResponseError,
     BackendTimeout,
     BackendTransportError,
+    Channel,
     Criticality,
     Engine,
     HazardCategory,
@@ -18,6 +19,7 @@ from hazcom import (
     remote_assess,
     scripted_assess,
     builtin_rule_table,
+    network_sink,
 )
 from hazcom.clock import VirtualClock
 from hazcom.perception import (
@@ -145,11 +147,15 @@ class TestScriptedTransportDeadline:
 class _StubHandler(BaseHTTPRequestHandler):
     response_doc = VALID_RESPONSE
     raw_body = None
+    raw_reply = None
     seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).seen.append(json.loads(self.rfile.read(length)))
+        if type(self).raw_reply is not None:
+            self.wfile.write(type(self).raw_reply)
+            return
         body = type(self).raw_body or json.dumps(type(self).response_doc).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -192,6 +198,23 @@ class TestHttpTransport:
         result = Engine().step(s1_obs, backend)
         assert result.fallback_used
         assert result.output.criticality is Criticality.MEDIUM
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 100\r\n\r\n{\"category\": ",
+        b"GARBAGE\r\n\r\n",
+    ], ids=["truncated-body", "bad-status-line"])
+    def test_malformed_reply_falls_back(self, s1_obs, stub_server, monkeypatch, reply):
+        monkeypatch.setattr(_StubHandler, "raw_reply", reply)
+        backend = RemoteBackend(stub_server, timeout_ticks=50)
+        with pytest.raises(BackendTransportError):
+            backend.assess(s1_obs)
+        result = Engine().step(s1_obs, backend)
+        assert result.fallback_used
+        assert result.output.criticality is Criticality.MEDIUM
+        delivery = network_sink(Channel.REMOTE, stub_server).deliver(result.output, 0)
+        assert not delivery.success
+        assert delivery.detail.startswith("delivery failed: ")
 
     def test_unreachable_endpoint_is_transport_error(self, s1_obs):
         backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10)
