@@ -35,7 +35,7 @@ from .harness import (
     generate,
     load_scenarios,
     run_suite,
-    save_scenarios,
+    scenario_file_text,
     sixty_run_suite,
 )
 from .oracle import oracle_verify
@@ -241,17 +241,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         scenarios = generate(args.seed, args.n, mix)
     except ValidationError as exc:
         raise ConfigurationError(f"invalid mix: {exc}") from exc
+    _emit(scenario_file_text(scenarios), args.report)
     if args.report:
-        save_scenarios(args.report, scenarios)
         print(f"wrote {len(scenarios)} scenarios to {args.report}")
-    else:
-        from .harness import SCENARIO_FORMAT, scenario_to_dict
-
-        document = {
-            "format": SCENARIO_FORMAT,
-            "scenarios": [scenario_to_dict(s) for s in scenarios],
-        }
-        sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return EXIT_CLEAN
 
 

@@ -155,9 +155,9 @@ class TraceRecord:
             raise ValidationError(f"{where}: 'text' must be a string or null")
         get, label = doc.get, enum_from_label
         try:
-            return cls(
+            record = cls(
                 int(doc["tick"]),
-                str(doc["obs_id"]),
+                doc["obs_id"],
                 None if (v := get("category")) is None else label(HazardCategory, v, where),
                 None if (v := get("d")) is None else label(Criticality, v, where),
                 None if (v := get("tau")) is None else label(TimeSensitivity, v, where),
@@ -166,18 +166,34 @@ class TraceRecord:
                 None if (v := doc["k"]) is None else label(Criticality, v, where),
                 None if (v := doc["gamma"]) is None else float(v),
                 None if (v := doc["chi"]) is None else label(Character, v, where),
-                bool(doc["alarm"]),
+                doc["alarm"],
                 tuple(label(Channel, c, where) for c in recipients),
                 int(doc["t_total"]),
-                bool(doc["fallback"]),
+                doc["fallback"],
                 text,
             )
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
+        # int() and float() above also accept look-alikes such as 1.7, "120"
+        # and true, and obs_id, alarm and fallback are taken as read, so each
+        # scalar must already have its wire type.
+        for key, types, what in _WIRE_SCALAR_TYPES:
+            if type(doc[key]) not in types:
+                raise ValidationError(f"{where}: {key!r} must be {what}, got {doc[key]!r}")
+        return record
 
 
 _REQUIRED_WIRE_KEYS = frozenset({"tick", "obs_id", "rho", "k", "gamma", "chi", "alarm",
                                  "recipients", "t_total", "fallback"})
+_WIRE_SCALAR_TYPES = (
+    ("tick", (int,), "an integer"),
+    ("obs_id", (str,), "a string"),
+    ("rho", (float, int, type(None)), "a number or null"),
+    ("gamma", (float, int, type(None)), "a number or null"),
+    ("alarm", (bool,), "true or false"),
+    ("t_total", (int,), "an integer"),
+    ("fallback", (bool,), "true or false"),
+)
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 

@@ -28,7 +28,6 @@ from .core import (
     LocationType,
     TimeSensitivity,
     ValidationError,
-    band_risk,
     enum_from_label,
     location_phrase,
 )
@@ -48,10 +47,12 @@ from .metrics import (
 from .oracle import Violation, oracle_verify
 from .perception import (
     Backend,
+    BackendResponseError,
     Entity,
     FaultProfile,
     Observation,
     builtin_rule_table,
+    decode_observation,
     encode_observation,
     scripted_assess,
     with_fault_injection,
@@ -100,23 +101,6 @@ def _obs(
     )
 
 
-def _truth(
-    category: HazardCategory,
-    level: Criticality,
-    tau: TimeSensitivity,
-    phi: Feasibility,
-    rho: float,
-) -> StepTruth:
-    return StepTruth(
-        category=category,
-        level=level,
-        time_sensitivity=tau,
-        feasibility=phi,
-        criticality=level,
-        risk=rho,
-    )
-
-
 def truth_from_rules(obs: Observation) -> Optional[StepTruth]:
     """Derive ground truth by running the builtin rule table on an
     observation; guarantees label/band coherence by construction."""
@@ -125,10 +109,9 @@ def truth_from_rules(obs: Observation) -> Optional[StepTruth]:
         return None
     return StepTruth(
         category=assessment.category,
-        level=assessment.factors.criticality_level,
+        criticality=assessment.factors.criticality_level,
         time_sensitivity=assessment.factors.time_sensitivity,
         feasibility=assessment.factors.feasibility,
-        criticality=band_risk(assessment.risk),
         risk=assessment.risk.value,
     )
 
@@ -146,7 +129,7 @@ def builtin_suite() -> list[Scenario]:
     Each hazard is followed by a no-hazard control step so the alarm
     reset is exercised.
     """
-    high_sharp = _truth(
+    high_sharp = StepTruth(
         HazardCategory.SHARP_OBJECT, Criticality.HIGH,
         TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED, 9.0,
     )
@@ -171,8 +154,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.KITCHEN),
             ),
             (
-                _truth(HazardCategory.SHARP_OBJECT, Criticality.LOW,
-                       TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 2.0),
+                StepTruth(HazardCategory.SHARP_OBJECT, Criticality.LOW,
+                          TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 2.0),
                 None,
             ),
         ),
@@ -185,8 +168,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.CORRIDOR),
             ),
             (
-                _truth(HazardCategory.PERSON_DOWN, Criticality.HIGH,
-                       TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED, 8.0),
+                StepTruth(HazardCategory.PERSON_DOWN, Criticality.HIGH,
+                          TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED, 8.0),
                 None,
             ),
         ),
@@ -199,8 +182,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.PUBLIC_AREA),
             ),
             (
-                _truth(HazardCategory.SUSPICIOUS_ITEM, Criticality.LOW,
-                       TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 2.5),
+                StepTruth(HazardCategory.SUSPICIOUS_ITEM, Criticality.LOW,
+                          TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 2.5),
                 None,
             ),
         ),
@@ -212,8 +195,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.CORRIDOR),
             ),
             (
-                _truth(HazardCategory.WASTE, Criticality.LOW,
-                       TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 1.0),
+                StepTruth(HazardCategory.WASTE, Criticality.LOW,
+                          TimeSensitivity.NEAR_FUTURE, Feasibility.ROBOT, 1.0),
                 None,
             ),
         ),
@@ -226,8 +209,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.PUBLIC_AREA),
             ),
             (
-                _truth(HazardCategory.DISTRESS, Criticality.HIGH,
-                       TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED, 8.5),
+                StepTruth(HazardCategory.DISTRESS, Criticality.HIGH,
+                          TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED, 8.5),
                 None,
             ),
         ),
@@ -240,8 +223,8 @@ def builtin_suite() -> list[Scenario]:
                 _control(1, LocationType.PUBLIC_AREA),
             ),
             (
-                _truth(HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM,
-                       TimeSensitivity.SOON, Feasibility.POC, 6.0),
+                StepTruth(HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM,
+                          TimeSensitivity.SOON, Feasibility.POC, 6.0),
                 None,
             ),
         ),
@@ -471,7 +454,7 @@ def _truth_to_dict(truth: Optional[StepTruth]) -> Optional[dict]:
         return None
     doc = {
         "category": truth.category.value,
-        "d": truth.level.value,
+        "d": truth.criticality.value,
         "tau": truth.time_sensitivity.value,
         "phi": truth.feasibility.value,
         "k": truth.criticality.value,
@@ -502,42 +485,19 @@ def _truth_from_dict(doc: Optional[dict], where: str) -> Optional[StepTruth]:
                 f"{where}: 'rho' {rho} outside the valid range [0, 10]"
             )
     try:
-        return StepTruth(
-            category=enum_from_label(HazardCategory, doc["category"], where),
-            level=enum_from_label(Criticality, doc["d"], where),
-            time_sensitivity=enum_from_label(TimeSensitivity, doc["tau"], where),
-            feasibility=enum_from_label(Feasibility, doc["phi"], where),
-            criticality=enum_from_label(Criticality, doc["k"], where),
-            risk=None if rho is None else float(rho),
-        )
+        category = enum_from_label(HazardCategory, doc["category"], where)
+        level = enum_from_label(Criticality, doc["d"], where)
+        tau = enum_from_label(TimeSensitivity, doc["tau"], where)
+        phi = enum_from_label(Feasibility, doc["phi"], where)
+        grade = enum_from_label(Criticality, doc["k"], where)
+        if level is not grade:
+            raise ValidationError(
+                f"truth incoherent: level {level.value} but overall "
+                f"criticality {grade.value}"
+            )
+        return StepTruth(category, grade, tau, phi, None if rho is None else float(rho))
     except ValidationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
-
-
-def _observation_from_dict(doc: dict, where: str) -> Observation:
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where}: observation must be an object")
-    try:
-        env_doc = doc["env"]
-        return Observation(
-            timestamp=int(doc["timestamp"]),
-            scene_caption=str(doc["caption"]),
-            salient_entities=tuple(
-                Entity(item["object_label"], item.get("attribute", ""))
-                for item in doc.get("entities", [])
-            ),
-            env=EnvContext(
-                location_type=enum_from_label(
-                    LocationType, env_doc["location_type"], where
-                ),
-                crowd_density=enum_from_label(
-                    CrowdDensity, env_doc.get("crowd_density", "None"), where
-                ),
-                vulnerable_present=bool(env_doc.get("vulnerable_present", False)),
-            ),
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ValidationError) as exc:
-        raise ConfigurationError(f"{where}: invalid observation: {exc}") from exc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -582,7 +542,12 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         step_where = f"{where} ({scenario_id}, step {index})"
         if not isinstance(step, dict) or "observation" not in step:
             raise ConfigurationError(f"{step_where}: step needs an 'observation'")
-        observations.append(_observation_from_dict(step["observation"], step_where))
+        try:
+            observations.append(decode_observation(step["observation"]))
+        except BackendResponseError as exc:
+            raise ConfigurationError(
+                f"{step_where}: invalid observation: {exc}"
+            ) from exc
         truths.append(_truth_from_dict(step.get("truth"), step_where))
     try:
         return Scenario(scenario_id, tuple(observations), tuple(truths), profile)
@@ -590,14 +555,17 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         raise ConfigurationError(f"{where} ({scenario_id}): {exc}") from exc
 
 
-def save_scenarios(path: str | Path, scenarios: Sequence[Scenario]) -> None:
+def scenario_file_text(scenarios: Sequence[Scenario]) -> str:
+    """The text of a scenario file holding ``scenarios``."""
     document = {
         "format": SCENARIO_FORMAT,
         "scenarios": [scenario_to_dict(s) for s in scenarios],
     }
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def save_scenarios(path: str | Path, scenarios: Sequence[Scenario]) -> None:
+    Path(path).write_text(scenario_file_text(scenarios), encoding="utf-8")
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:

@@ -31,24 +31,18 @@ from .engine import TraceRecord
 class StepTruth:
     """Ground truth for one observation that does contain a hazard.
 
-    The declared severity level and the overall criticality must agree
-    (band coherence); an optional reference score, when present, must band
-    to the same grade.
+    ``criticality`` is the one grade: it is both the declared severity
+    level and the overall criticality.  An optional reference score, when
+    present, must band to it.
     """
 
     category: HazardCategory
-    level: Criticality
+    criticality: Criticality
     time_sensitivity: TimeSensitivity
     feasibility: Feasibility
-    criticality: Criticality
     risk: float | None = None
 
     def __post_init__(self) -> None:
-        if self.level is not self.criticality:
-            raise ValidationError(
-                f"truth incoherent: level {self.level.value} but overall "
-                f"criticality {self.criticality.value}"
-            )
         if self.risk is not None:
             banded = band_risk(RiskScore(self.risk))
             if banded is not self.criticality:

@@ -495,7 +495,13 @@ def _require_exact_fields(doc: dict, fields: tuple[str, ...], what: str) -> None
 
 
 def decode_observation(doc: dict) -> Observation:
-    """Request document -> Observation, rejecting unknown fields."""
+    """Request document -> Observation: the exact inverse of
+    :func:`encode_observation`.
+
+    Every field is required and must have its encoded type (an integer
+    timestamp, a boolean ``vulnerable_present``); unknown fields are
+    rejected.  Any other input raises :class:`BackendResponseError`.
+    """
     if not isinstance(doc, dict):
         raise BackendResponseError("request must be a JSON object")
     _require_exact_fields(doc, _REQUEST_FIELDS, "request")
@@ -511,20 +517,29 @@ def decode_observation(doc: dict) -> Observation:
     _require_exact_fields(env_doc, _ENV_FIELDS, "env")
     if not isinstance(doc["caption"], str):
         raise BackendResponseError("'caption' must be a string")
+    if type(doc["timestamp"]) is not int:
+        raise BackendResponseError(
+            f"'timestamp' must be an integer, got {doc['timestamp']!r}"
+        )
+    if type(env_doc["vulnerable_present"]) is not bool:
+        raise BackendResponseError(
+            f"'vulnerable_present' must be true or false, "
+            f"got {env_doc['vulnerable_present']!r}"
+        )
     try:
         entities = [Entity(e["object_label"], e["attribute"]) for e in doc["entities"]]
         env = EnvContext(
             location_type=enum_from_label(LocationType, env_doc["location_type"]),
             crowd_density=enum_from_label(CrowdDensity, env_doc["crowd_density"]),
-            vulnerable_present=bool(env_doc["vulnerable_present"]),
+            vulnerable_present=env_doc["vulnerable_present"],
         )
         return Observation(
-            timestamp=int(doc["timestamp"]),
+            timestamp=doc["timestamp"],
             scene_caption=doc["caption"],
             salient_entities=tuple(entities),
             env=env,
         )
-    except (ValidationError, TypeError, ValueError) as exc:
+    except ValidationError as exc:
         raise BackendResponseError(f"invalid request values: {exc}") from exc
 
 
@@ -575,7 +590,7 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
         )
     except BackendResponseError:
         raise
-    except ValidationError as exc:
+    except (OverflowError, ValidationError) as exc:
         raise BackendResponseError(f"invalid response values: {exc}") from exc
 
 

@@ -152,6 +152,19 @@ class TestVerifyAndReplay:
 
 
 class TestGen:
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "866bcec3a7d3b2557cc03480d3d66d3201c741e9ed4a4fbfc16fd46b8275dd9c"),
+        ("5", "bfb73a8e5d43513aaa3d0f1ae9e0fcb7a5bc5358ae64505c702a3255bbb38b8b"),
+        ("9001", "110adab640a3ae121874b75af205880c06ba1a25f6e6dc8aa76dcc7d7a5b0290"),
+    ])
+    def test_gen_matches_golden_digest(self, tmp_path, capsys, seed, digest):
+        assert main(["gen", "--seed", seed, "--n", "200"]) == EXIT_CLEAN
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == digest
+        path = tmp_path / "generated.json"
+        assert main(["gen", "--seed", seed, "--n", "200", "--report", str(path)]) == EXIT_CLEAN
+        assert path.read_bytes() == stdout
+
     def test_gen_writes_loadable_suite(self, tmp_path, capsys):
         path = tmp_path / "generated.json"
         code = main(["gen", "--seed", "5", "--n", "12", "--report", str(path)])

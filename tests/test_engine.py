@@ -466,6 +466,30 @@ class TestTraceIO:
             read_trace(path)
         assert str(excinfo.value) == f"{where}: " + message.format(where=where)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alarm", "no", "'alarm' must be true or false, got 'no'"),
+        ("fallback", "false", "'fallback' must be true or false, got 'false'"),
+        ("tick", 1.7, "'tick' must be an integer, got 1.7"),
+        ("tick", True, "'tick' must be an integer, got True"),
+        ("t_total", "120", "'t_total' must be an integer, got '120'"),
+        ("obs_id", 5, "'obs_id' must be a string, got 5"),
+        ("rho", True, "'rho' must be a number or null, got True"),
+        ("gamma", False, "'gamma' must be a number or null, got False"),
+    ], ids=[
+        "alarm-string", "fallback-string", "tick-float", "tick-bool", "t_total-string",
+        "obs_id-number", "rho-bool", "gamma-bool",
+    ])
+    def test_scalar_of_wrong_type_rejected(
+        self, tmp_path, s1_obs, scripted, field, value, message
+    ):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record])
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(record, **{field: value})) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == f"{path}:1: {message}"
+
     @pytest.mark.parametrize("field, value", [("tick", float("inf")), ("rho", 10**400)])
     def test_overflowing_number_raises_with_location(
         self, tmp_path, s1_obs, scripted, field, value

@@ -27,6 +27,7 @@ from hazcom import (
     sixty_run_suite,
 )
 from hazcom.clock import seconds_to_ticks
+from hazcom.core import RiskScore, band_risk
 from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario, truth_from_rules
 
@@ -80,7 +81,6 @@ class TestBuiltinSuite:
                     assert derived is not None
                     assert derived.category is truth.category
                     assert derived.criticality is truth.criticality
-                    assert derived.level is truth.level
                     assert derived.time_sensitivity is truth.time_sensitivity
                     assert derived.feasibility is truth.feasibility
 
@@ -190,6 +190,25 @@ class TestScenarioFiles:
         with pytest.raises(ConfigurationError, match="incoherent"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda obs: obs["entities"][0].pop("attribute"), "entity must have exactly"),
+        (lambda obs: obs.pop("entities"), "request must have exactly"),
+        (lambda obs: obs["env"].pop("crowd_density"), "env must have exactly"),
+        (lambda obs: obs.update(timestamp="1"), "'timestamp' must be an integer"),
+    ], ids=["attribute-missing", "entities-missing", "crowd-missing", "timestamp-string"])
+    def test_observation_is_decoded_strictly(self, tmp_path, corrupt, message):
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        document = json.loads(path.read_text())
+        corrupt(document["scenarios"][0]["steps"][1]["observation"])
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_scenarios(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: scenario 0 (S1-knife-unsafe-area, step 1): invalid observation: "
+        )
+        assert message in str(excinfo.value)
+
     def test_json_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text('{\n  "format": "hazcom-scenarios-v1",\n  broken\n}')
@@ -279,7 +298,7 @@ class TestGenerate:
         for scenario in generate(9, 30):
             for truth in scenario.ground_truth:
                 if truth is not None:
-                    assert truth.level is truth.criticality
+                    assert band_risk(RiskScore(truth.risk)) is truth.criticality
 
     def test_category_weights_respected(self):
         mix = MixConfig(category_weights={

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hazcom import (
     Channel,
+    ConfigurationError,
     Criticality,
     Feasibility,
     HazardCategory,
@@ -13,12 +16,15 @@ from hazcom import (
     TimeSensitivity,
     TraceRecord,
     ValidationError,
+    builtin_suite,
     coordination_success,
     detection_accuracy,
     effectiveness,
     latency_compliance,
+    load_scenarios,
     message_alignment,
     objective_loss,
+    save_scenarios,
 )
 from hazcom.core import band_risk, character_for, recipients_for, RiskScore, CHANNEL_ORDER
 from hazcom.dispatch import DeliveryRecord
@@ -29,7 +35,7 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def truth_for(category, grade, rho=None):
     tau = TimeSensitivity.IMMEDIATE if grade is Criticality.HIGH else TimeSensitivity.SOON
     phi = Feasibility.HELP_NEEDED if grade is Criticality.HIGH else Feasibility.POC
-    return StepTruth(category, grade, tau, phi, grade, rho)
+    return StepTruth(category, grade, tau, phi, rho)
 
 
 def hazard_record(rho, category=HazardCategory.WASTE, tick=0, t_total=120,
@@ -73,12 +79,17 @@ def good_deliveries(record):
 
 
 class TestStepTruth:
-    def test_incoherent_level_vs_grade_rejected(self):
-        with pytest.raises(ValidationError, match="incoherent"):
-            StepTruth(
-                HazardCategory.WASTE, Criticality.LOW, TimeSensitivity.SOON,
-                Feasibility.POC, Criticality.HIGH,
-            )
+    def test_incoherent_level_vs_grade_rejected(self, tmp_path):
+        # A truth has one grade; a scenario file that writes its level `d`
+        # apart from its criticality `k` is refused by the file decoder.
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        document = json.loads(path.read_text())
+        truth = document["scenarios"][0]["steps"][1]["truth"]
+        truth["d"] = "Low"          # k and rho stay High
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError, match="incoherent"):
+            load_scenarios(path)
 
     def test_reference_score_must_band_to_grade(self):
         with pytest.raises(ValidationError, match="bands to"):

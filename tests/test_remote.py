@@ -16,6 +16,7 @@ from hazcom import (
     HazardCategory,
     RemoteBackend,
     ValidationError,
+    oracle_verify,
     remote_assess,
     scripted_assess,
     builtin_rule_table,
@@ -114,6 +115,30 @@ class TestWireFormat:
         doc = dict(encode_observation(s1_obs), caption=5)
         with pytest.raises(BackendResponseError, match="caption"):
             decode_observation(doc)
+
+    @pytest.mark.parametrize(
+        "timestamp", [float("inf"), "3", 1.7, True],
+        ids=["infinite", "string", "float", "bool"],
+    )
+    def test_non_integer_timestamp_rejected(self, s1_obs, timestamp):
+        doc = dict(encode_observation(s1_obs), timestamp=timestamp)
+        with pytest.raises(BackendResponseError, match="'timestamp' must be an integer"):
+            decode_observation(doc)
+
+    def test_non_boolean_vulnerable_present_rejected(self, s1_obs):
+        doc = encode_observation(s1_obs)
+        doc["env"]["vulnerable_present"] = "no"
+        with pytest.raises(BackendResponseError, match="'vulnerable_present' must be true or false"):
+            decode_observation(doc)
+
+    def test_overflowing_score_falls_back(self, s1_obs):
+        doc = dict(VALID_RESPONSE, rho=10**400)
+        with pytest.raises(BackendResponseError, match="invalid response values"):
+            decode_assessment(doc)
+        backend = RemoteBackend("stub://model", transport=lambda *args: doc)
+        result = Engine().step(s1_obs, backend)
+        assert result.fallback_used
+        assert oracle_verify([result.record.to_wire()]) == []
 
 
 class TestScriptedTransportDeadline:
