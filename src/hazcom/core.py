@@ -48,7 +48,13 @@ def enum_from_label(enum_cls: Type[E], label: str, context: str = "") -> E:
     )
 
 
-class HazardCategory(Enum):
+class Label(Enum):
+    """Base of the label enums: members hash by identity, as they compare."""
+
+    __hash__ = object.__hash__
+
+
+class HazardCategory(Label):
     """Closed set of hazard labels the policy knows how to talk about."""
 
     SHARP_OBJECT = "SharpObject"
@@ -63,7 +69,7 @@ _CRITICALITY_RANK = {"Low": 0, "Medium": 1, "High": 2}
 
 
 @total_ordering
-class Criticality(Enum):
+class Criticality(Label):
     """Overall severity grade; totally ordered Low < Medium < High."""
 
     LOW = "Low"
@@ -72,7 +78,7 @@ class Criticality(Enum):
 
     @property
     def rank(self) -> int:
-        return _CRITICALITY_RANK[self.value]
+        return _CRITICALITY_RANK[self._value_]
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Criticality):
@@ -80,7 +86,7 @@ class Criticality(Enum):
         return self.rank < other.rank
 
 
-class TimeSensitivity(Enum):
+class TimeSensitivity(Label):
     """How soon a response is required."""
 
     IMMEDIATE = "Immediate"
@@ -88,7 +94,7 @@ class TimeSensitivity(Enum):
     NEAR_FUTURE = "NearFuture"
 
 
-class Feasibility(Enum):
+class Feasibility(Label):
     """Who is best positioned to mitigate: the robot, a nearby person
     of contact, or external help."""
 
@@ -97,7 +103,7 @@ class Feasibility(Enum):
     HELP_NEEDED = "HelpNeeded"
 
 
-class LocationType(Enum):
+class LocationType(Label):
     KITCHEN = "Kitchen"
     CORRIDOR = "Corridor"
     PUBLIC_AREA = "PublicArea"
@@ -105,13 +111,13 @@ class LocationType(Enum):
     OFFICE = "Office"
 
 
-class CrowdDensity(Enum):
+class CrowdDensity(Label):
     NONE = "None"
     SPARSE = "Sparse"
     DENSE = "Dense"
 
 
-class Character(Enum):
+class Character(Label):
     """Register of a message, matched to criticality."""
 
     INQUIRY = "inquiry"
@@ -119,7 +125,7 @@ class Character(Enum):
     URGENT = "urgent"
 
 
-class Channel(Enum):
+class Channel(Label):
     """Delivery channels a communication can be routed to."""
 
     NEARBY = "nearby"

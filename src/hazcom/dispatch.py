@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Protocol, Union
+from typing import NamedTuple, Protocol, Union
 
 from . import _http
 from .clock import ticks_to_seconds
 from .core import CHANNEL_ORDER, RECIPIENTS_IN_ORDER, Channel, CommOutput, ConfigurationError
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Outcome of one delivery attempt on one channel."""
 
     channel: Channel

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .clock import Clock, VirtualClock
 from .core import (
@@ -38,7 +38,7 @@ from .core import (
     enum_from_label,
     policy_output,
 )
-from .perception import Backend, BackendError, HazardAssessment, Observation
+from .perception import Backend, HazardAssessment, Observation
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ class EngineConfig:
             raise ValidationError(f"weights must sum to 1, got {sum(self.weights)}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One step of the trajectory, as written to the trace log."""
 
     tick: int
@@ -338,9 +337,9 @@ class Engine:
     ) -> StepResult:
         """Run one observation through the pipeline.
 
-        Backend errors never escape: they are absorbed into the fallback
-        path and recorded.  Every step yields either an output (enqueued
-        for dispatch) or an explicit no-hazard record.
+        No exception a backend raises escapes: each is absorbed into the
+        fallback path and recorded.  Every step yields either an output
+        (enqueued for dispatch) or an explicit no-hazard record.
         """
         profile = self.config.timers
         if obs_id is None:
@@ -357,7 +356,7 @@ class Engine:
         backend_failed = False
         try:
             assessment = backend.assess(obs)
-        except BackendError:
+        except Exception:  # whatever a backend raises, the fallback alert goes out
             backend_failed = True
         t_llm = self.clock.now - llm_start
 

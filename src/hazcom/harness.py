@@ -517,20 +517,39 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+#: JSON types of the fault-profile fields of a scenario file; an omitted
+#: field takes the :class:`FaultProfile` default.
+_FAULT_PROFILE_TYPES = {
+    "added_delay": ((int,), "an integer"),
+    "failure_rate": ((float, int), "a number"),
+    "seed": ((int,), "an integer"),
+}
+
+
+def _fault_profile_from_dict(doc: object) -> FaultProfile:
+    if not isinstance(doc, dict):
+        raise ValidationError("must be an object")
+    unknown = doc.keys() - _FAULT_PROFILE_TYPES.keys()
+    if unknown:
+        raise ValidationError(f"unknown fields {sorted(unknown)}")
+    for key, value in doc.items():
+        types, what = _FAULT_PROFILE_TYPES[key]
+        if type(value) not in types:
+            raise ValidationError(f"{key!r} must be {what}, got {value!r}")
+    return FaultProfile(**doc)
+
+
 def scenario_from_dict(doc: dict, where: str) -> Scenario:
     if not isinstance(doc, dict) or "id" not in doc or "steps" not in doc:
         raise ConfigurationError(f"{where}: scenario needs 'id' and 'steps'")
-    scenario_id = str(doc["id"])
+    scenario_id = doc["id"]
+    if not isinstance(scenario_id, str):
+        raise ConfigurationError(f"{where}: 'id' must be a string, got {scenario_id!r}")
     profile = None
     if doc.get("fault_profile") is not None:
-        fp = doc["fault_profile"]
         try:
-            profile = FaultProfile(
-                added_delay=int(fp.get("added_delay", 0)),
-                failure_rate=float(fp.get("failure_rate", 0.0)),
-                seed=int(fp.get("seed", 0)),
-            )
-        except (AttributeError, OverflowError, TypeError, ValueError, ValidationError) as exc:
+            profile = _fault_profile_from_dict(doc["fault_profile"])
+        except ValidationError as exc:
             raise ConfigurationError(
                 f"{where} ({scenario_id}): invalid fault profile: {exc}"
             ) from exc

@@ -4,7 +4,8 @@ Re-derives every policy output (band, tone, character, alarm, recipients)
 from the recorded risk score alone, using literal thresholds and tables --
 deliberately not the implementation in :mod:`hazcom.core` -- and reports
 every mismatch.  Works on raw wire-level dicts so serialization bugs are
-caught too.
+caught too: the JSON type of each scalar is checked against the trace
+format's own table, the one :func:`hazcom.engine.read_trace` applies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .core import ValidationError
+from .engine import _WIRE_SCALAR_TYPES
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,23 @@ def oracle_verify(records: Iterable[Mapping]) -> list[Violation]:
     """
     violations: list[Violation] = []
     for index, record in enumerate(records):
-        if not isinstance(record, Mapping):
+        # Wire records are dicts; testing for dict first costs a fifth of
+        # the abstract Mapping test.
+        if not isinstance(record, dict) and not isinstance(record, Mapping):
             raise _malformed(index, "not an object")
         if not _REQUIRED_KEY_SET <= record.keys():
             missing = [key for key in _REQUIRED_KEYS if key not in record]
             raise _malformed(index, f"missing fields {missing}")
         recipients = record["recipients"]
         if not isinstance(recipients, (list, tuple)) or not all(
-            isinstance(channel, str) for channel in recipients
+            map(str.__instancecheck__, recipients)
         ):
             raise _malformed(index, "'recipients' must be a list of strings")
+        for key, types, what in _WIRE_SCALAR_TYPES:
+            if type(record[key]) not in types:
+                violations.append(Violation(
+                    index, key, "wire-type rule", f"must be {what}, got {record[key]!r}",
+                ))
         if record["k"] is None:
             violations.extend(_verify_no_hazard(index, record))
         else:

@@ -127,6 +127,19 @@ class TestVerifyAndReplay:
         assert main(["verify", str(trace_path)]) == EXIT_VIOLATION
         assert "alarm rule" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value", [("alarm", "yes"), ("tick", 1.7)])
+    def test_verify_reports_a_scalar_of_wrong_type(self, trace_path, capsys, field, value):
+        records = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines() if line
+        ]
+        next(r for r in records if r["k"] == "High")[field] = value
+        trace_path.write_text(
+            "\n".join(json.dumps(r) for r in records) + "\n"
+        )
+        assert main(["verify", str(trace_path)]) == EXIT_VIOLATION
+        assert "wire-type rule" in capsys.readouterr().out
+
     def test_verify_missing_file(self):
         assert main(["verify", "/nonexistent.jsonl"]) == EXIT_CONFIG
 

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -26,6 +29,7 @@ from hazcom import (
     recipients_for,
     tone_for,
 )
+from hazcom import core
 from hazcom.core import (
     CHANNEL_ORDER,
     RECIPIENTS_IN_ORDER,
@@ -365,3 +369,28 @@ class TestEnumFromLabel:
         assert str(info.value) == (
             f"unknown Criticality {shown} in ctx; expected one of: Low, Medium, High"
         )
+
+
+def core_enums():
+    return [
+        obj for obj in vars(core).values()
+        if isinstance(obj, type) and issubclass(obj, Enum) and obj.__module__ == core.__name__
+    ]
+
+
+class TestLabels:
+    def test_every_core_enum_derives_from_the_label_base(self):
+        labels = [e for e in core_enums() if e is not core.Label]
+        assert len(labels) == 8
+        assert all(issubclass(e, core.Label) for e in labels)
+
+    @pytest.mark.parametrize("member", [m for e in core_enums() for m in e], ids=repr)
+    def test_member_hashes_by_identity_and_survives_copies(self, member):
+        assert hash(member) == object.__hash__(member)
+        assert copy.deepcopy(member) is member
+        assert copy.copy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert {member: 1}[type(member)(member.value)] == 1
+
+    def test_criticality_rank_follows_the_grade_order(self):
+        assert [c.rank for c in Criticality] == [0, 1, 2]

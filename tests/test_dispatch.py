@@ -97,6 +97,16 @@ class TestMemorySink:
         assert sink.log[1].tick == 2
         assert all(isinstance(r, DeliveryRecord) for r in sink.log)
 
+    def test_records_are_immutable_hashable_tuples(self):
+        record = memory_sink(Channel.REMOTE).deliver(output_for(6.0), 4)
+        with pytest.raises(AttributeError):
+            record.success = False
+        assert not hasattr(record, "__dict__")
+        assert {record: 1}[record] == 1
+        assert DeliveryRecord._fields == ("channel", "tick", "success", "detail")
+        # A record is a named tuple, so it equals the plain tuple of its fields.
+        assert record == (Channel.REMOTE, 4, True, f"alert: {output_for(6.0).message.text}")
+
 
 class _CaptureHandler(BaseHTTPRequestHandler):
     bodies = []

@@ -16,9 +16,11 @@ from hazcom import (
     PendingQueue,
     RiskScore,
     StageTimers,
+    TraceRecord,
     ValidationError,
     assemble_output,
     fallback_output,
+    oracle_verify,
     read_trace,
     recipients_for,
     write_trace,
@@ -156,6 +158,23 @@ class TestStep:
         assert result.fallback_used is True
         assert result.output is not None
         assert result.output.criticality is Criticality.MEDIUM
+
+    def test_any_backend_exception_absorbed_into_fallback(self, s1_obs):
+        class BuggyBackend:
+            def __init__(self):
+                self.errors = deque([ValueError("bad score"), KeyError("rule")])
+
+            def assess(self, obs):
+                raise self.errors.popleft()
+
+        engine = Engine()
+        backend = BuggyBackend()
+        for _ in range(2):
+            result = engine.step(s1_obs, backend)
+            assert result.fallback_used is True
+            assert result.record.fallback is True
+            assert oracle_verify([result.record.to_wire()]) == []
+        assert not backend.errors
 
     def test_fallback_output_satisfies_alarm_rule(self):
         for grade in (None, *Criticality):
@@ -386,6 +405,22 @@ class TestTraceIO:
         path = tmp_path / "trace.jsonl"
         write_trace(path, records)
         assert read_trace(path) == records
+
+    def test_records_are_immutable_hashable_tuples(self, s1_obs, empty_obs, scripted):
+        engine = Engine()
+        records = [engine.step(obs, scripted).record for obs in (s1_obs, empty_obs)]
+        for record in records:
+            with pytest.raises(AttributeError):
+                record.alarm = not record.alarm
+            assert not hasattr(record, "__dict__")
+            assert {record: 1}[record] == 1
+            # A record is a named tuple, so it equals the plain tuple of its fields.
+            assert record == tuple(getattr(record, f) for f in TraceRecord._fields)
+        assert TraceRecord._fields == (
+            "tick", "obs_id", "category", "level", "time_sensitivity", "feasibility",
+            "risk", "criticality", "tone", "character", "alarm", "recipients",
+            "t_total", "fallback", "text",
+        )
 
     def test_append_only(self, tmp_path, s1_obs, scripted):
         engine = Engine()

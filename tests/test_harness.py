@@ -237,6 +237,32 @@ class TestScenarioFiles:
         with pytest.raises(ConfigurationError, match="nested too deeply"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize("index, change, message", [
+        (0, {"id": 5}, "scenario 0: 'id' must be a string, got 5"),
+        (7, {"fault_profile": {"added_delay": 2.7, "failure_rate": 0.0, "seed": 0}},
+         "scenario 7 (S8-degraded-backend): invalid fault profile: "
+         "'added_delay' must be an integer, got 2.7"),
+        (7, {"fault_profile": {"added_delay": 250, "failure_rate": "0.5", "seed": 0}},
+         "scenario 7 (S8-degraded-backend): invalid fault profile: "
+         "'failure_rate' must be a number, got '0.5'"),
+        (7, {"fault_profile": {"added_delay": 250, "failure_rate": 0.0, "seed": True}},
+         "scenario 7 (S8-degraded-backend): invalid fault profile: "
+         "'seed' must be an integer, got True"),
+        (7, {"fault_profile": {"delay": 250}},
+         "scenario 7 (S8-degraded-backend): invalid fault profile: "
+         "unknown fields ['delay']"),
+    ], ids=["id-number", "delay-float", "rate-string", "seed-bool", "unknown-key"])
+    def test_scenario_fields_are_not_coerced(self, tmp_path, index, change, message):
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        document = json.loads(path.read_text())
+        assert document["scenarios"][7]["id"] == "S8-degraded-backend"
+        document["scenarios"][index].update(change)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_scenarios(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -119,6 +119,20 @@ class TestPlantedCorruptions:
         assert any(v.rule == "score-range rule" for v in oracle_verify(records))
 
 
+class TestWireTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("alarm", "yes"), ("alarm", 1), ("tick", 1.7), ("t_total", "120"),
+        ("fallback", "no"), ("obs_id", 5),
+    ])
+    def test_scalar_of_wrong_type_is_a_violation(self, field, value):
+        records = clean_records()
+        target = next(r for r in records if r["k"] == "High")
+        target[field] = value
+        violations = oracle_verify(records)
+        assert [(v.field, v.rule) for v in violations] == [(field, "wire-type rule")]
+        assert f"got {value!r}" in violations[0].detail
+
+
 class TestMalformedTraces:
     def test_missing_fields_raise(self):
         with pytest.raises(ValidationError, match="missing"):
