@@ -75,12 +75,16 @@ class NetworkSink:
     """Posts the wire document to an HTTP endpoint.
 
     Transport failures become failure records; no exception escapes a
-    delivery attempt.
+    delivery attempt.  An endpoint that is not an ``http://`` URL with a host
+    raises ConfigurationError when the sink is built.
     """
 
     channel: Channel
     endpoint: str
     timeout_ticks: int = 50
+
+    def __post_init__(self) -> None:
+        _http.parse_url(self.endpoint)
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
         try:

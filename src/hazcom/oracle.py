@@ -114,7 +114,10 @@ def _verify_hazard(index: int, record: Mapping) -> list[Violation]:
     out = []
     rho = record["rho"]
     if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-        raise _malformed(index, f"'rho' must be a number, got {rho!r}")
+        out.append(Violation(
+            index, "rho", "score-range rule", f"score must be a number, got {rho!r}"
+        ))
+        return out  # no band without a score
     if not (0.0 <= rho <= 10.0):
         out.append(Violation(
             index, "rho", "score-range rule", f"score {rho} outside [0, 10]"

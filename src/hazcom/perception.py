@@ -598,7 +598,7 @@ Transport = Callable[[str, dict, int], dict]
 
 
 def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
-    """Default transport: blocking JSON POST with a hard socket deadline."""
+    """Default transport: blocking JSON POST with a whole-exchange deadline."""
     try:
         return _http.post_json(endpoint, request, ticks_to_seconds(timeout_ticks))
     except TimeoutError as exc:
@@ -628,7 +628,11 @@ def remote_assess(
 
 
 class RemoteBackend:
-    """Deadline-bounded remote assessment client."""
+    """Deadline-bounded remote assessment client.
+
+    Without a custom ``transport`` the endpoint must be an ``http://`` URL
+    with a host; any other raises ConfigurationError here, not on each step.
+    """
 
     def __init__(
         self,
@@ -636,6 +640,8 @@ class RemoteBackend:
         timeout_ticks: int = 200,
         transport: Transport | None = None,
     ) -> None:
+        if transport is None:
+            _http.parse_url(endpoint)
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
         self._transport = transport

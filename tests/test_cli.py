@@ -24,6 +24,11 @@ class TestBackendSpecs:
         with pytest.raises(ConfigurationError, match="remote"):
             make_backend("remote:", 200)
 
+    def test_remote_address_without_scheme_exits_2(self, capsys):
+        # Rejected when the backend is built, not by a fallback on every step.
+        assert main(["run", "--backend", "remote:127.0.0.1:8000"]) == EXIT_CONFIG
+        assert "http://" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_default_suite(self, capsys):
@@ -139,6 +144,21 @@ class TestVerifyAndReplay:
         )
         assert main(["verify", str(trace_path)]) == EXIT_VIOLATION
         assert "wire-type rule" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rho", [True, None])
+    def test_verify_reports_a_non_numeric_score_and_goes_on(self, tmp_path, trace_path, capsys, rho):
+        hazard = next(
+            json.loads(line) for line in trace_path.read_text().splitlines()
+            if line and json.loads(line)["k"] is not None
+        )
+        path = tmp_path / "two.jsonl"
+        path.write_text(json.dumps(dict(hazard, rho=rho)) + "\n"
+                        + json.dumps(dict(hazard, alarm="yes")) + "\n")
+        assert main(["verify", str(path)]) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert "record 0: [score-range rule] rho" in out
+        assert "record 1: [wire-type rule] alarm" in out
+        assert "2 records checked" in out
 
     def test_verify_missing_file(self):
         assert main(["verify", "/nonexistent.jsonl"]) == EXIT_CONFIG
