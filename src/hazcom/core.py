@@ -31,14 +31,15 @@ E = TypeVar("E", bound=Enum)
 
 
 @cache
-def _members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:
+def members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:
+    """The members of ``enum_cls`` by canonical label; built once per enum."""
     return {member.value: member for member in enum_cls}
 
 
 def enum_from_label(enum_cls: Type[E], label: str, context: str = "") -> E:
     """Look up an enum member by its canonical label, e.g. ``"Medium"``."""
     try:
-        return _members_by_label(enum_cls)[label]
+        return members_by_label(enum_cls)[label]
     except (KeyError, TypeError):  # unknown or unhashable label
         pass
     valid = ", ".join(m.value for m in enum_cls)

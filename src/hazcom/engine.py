@@ -16,6 +16,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -36,6 +37,7 @@ from .core import (
     assemble_output,
     band_risk,
     enum_from_label,
+    members_by_label,
     policy_output,
 )
 from .perception import Backend, HazardAssessment, Observation
@@ -141,6 +143,42 @@ class TraceRecord(NamedTuple):
 
     @classmethod
     def from_wire(cls, doc: dict, where: str = "record") -> "TraceRecord":
+        # A well-formed line decodes with subscripts alone: each scalar's type
+        # is checked against _WIRE_SCALAR_TYPES and each label is looked up in
+        # its enum's label dict.  Anything else, including an absent optional
+        # key, takes the checked path, which gives the record or the message.
+        if type(doc) is dict:
+            try:
+                for key, types, _ in _WIRE_SCALAR_TYPES:
+                    if type(doc[key]) not in types:
+                        break
+                else:
+                    recipients, text = doc["recipients"], doc["text"]
+                    if type(recipients) is list and (text is None or type(text) is str):
+                        rho, gamma = doc["rho"], doc["gamma"]
+                        return cls(
+                            doc["tick"],
+                            doc["obs_id"],
+                            _CATEGORIES[doc["category"]],
+                            _CRITICALITIES[doc["d"]],
+                            _TIME_SENSITIVITIES[doc["tau"]],
+                            _FEASIBILITIES[doc["phi"]],
+                            float(rho) if type(rho) is int else rho,
+                            _CRITICALITIES[doc["k"]],
+                            float(gamma) if type(gamma) is int else gamma,
+                            _CHARACTERS[doc["chi"]],
+                            doc["alarm"],
+                            tuple(map(_CHANNELS.__getitem__, recipients)),
+                            doc["t_total"],
+                            doc["fallback"],
+                            text,
+                        )
+            except (KeyError, TypeError, OverflowError):
+                pass
+        return cls._from_wire_checked(doc, where)
+
+    @classmethod
+    def _from_wire_checked(cls, doc: dict, where: str) -> "TraceRecord":
         if not isinstance(doc, dict):
             raise ValidationError(f"{where}: not an object")
         if not _REQUIRED_WIRE_KEYS <= doc.keys():
@@ -193,34 +231,105 @@ _WIRE_SCALAR_TYPES = (
     ("t_total", (int,), "an integer"),
     ("fallback", (bool,), "true or false"),
 )
+# Label dicts of the trace's label fields; null maps to None.
+_CATEGORIES = {**members_by_label(HazardCategory), None: None}
+_CRITICALITIES = {**members_by_label(Criticality), None: None}
+_TIME_SENSITIVITIES = {**members_by_label(TimeSensitivity), None: None}
+_FEASIBILITIES = {**members_by_label(Feasibility), None: None}
+_CHARACTERS = {**members_by_label(Character), None: None}
+_CHANNELS = members_by_label(Channel)
+
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+_JSON_DECODER = json.JSONDecoder()
+# The fields that change from step to step, in the order the sorted-key
+# encoder writes them, each with the value a placeholder record gives it.
+_PER_STEP_FIELDS = (("gamma", "null"), ("obs_id", '""'), ("rho", "null"), ("tick", "0"))
+
+
+@lru_cache(maxsize=1024)
+def _line_fragments(
+    category, level, time_sensitivity, feasibility, criticality, character,
+    alarm, recipients, t_total, fallback, text,
+) -> tuple[str, str, str, str, str]:
+    """The encoder's line for a record with these fields, cut where gamma,
+    obs_id, rho and tick go: five fragments, the last ending the line.
+
+    Searching for ``"key": value`` finds the key itself, because every
+    quote inside an encoded string value is escaped."""
+    line = _TRACE_ENCODER.encode(TraceRecord(
+        0, "", category, level, time_sensitivity, feasibility, None, criticality,
+        None, character, alarm, recipients, t_total, fallback, text,
+    ).to_wire())
+    fragments = []
+    for key, placeholder in _PER_STEP_FIELDS:
+        head, _, line = line.partition(f'"{key}": {placeholder}')
+        fragments.append(f'{head}"{key}": ')
+    return (*fragments, line + "\n")
 
 
 def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
-    """Append step records to a trace log, one sorted-key JSON document per line."""
-    encode = _TRACE_ENCODER.encode
+    """Append step records to a trace log, one sorted-key JSON document per line.
+
+    Each line is ``json.dumps(record.to_wire(), sort_keys=True)`` to the byte.
+    The records of a run repeat a few dozen combinations of labels, text and
+    flags, so a line is built from its combination's cached fragments and
+    only tick, obs_id, rho and gamma are formatted.  A record holding any
+    value the fragments cannot reproduce exactly (a non-finite or integer
+    score, a bool tick, a list of recipients, ...) goes through the encoder.
+    """
+    encode, fragments, quote = _TRACE_ENCODER.encode, _line_fragments, encode_basestring_ascii
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
-            fh.write(encode(record.to_wire()) + "\n")
+            (tick, obs_id, category, level, time_sensitivity, feasibility, rho,
+             criticality, gamma, character, alarm, recipients, t_total, fallback,
+             text) = record
+            if (type(tick) is int and type(obs_id) is str
+                    and (rho is None or type(rho) is float and rho - rho == 0.0)
+                    and (gamma is None or type(gamma) is float and gamma - gamma == 0.0)
+                    and type(alarm) is bool and type(recipients) is tuple
+                    and type(t_total) is int and type(fallback) is bool
+                    and (text is None or type(text) is str)):
+                head, after_gamma, after_id, after_rho, tail = fragments(
+                    category, level, time_sensitivity, feasibility, criticality,
+                    character, alarm, recipients, t_total, fallback, text,
+                )
+                fh.write(
+                    f"{head}{'null' if gamma is None else gamma}{after_gamma}"
+                    f"{quote(obs_id)}{after_id}{'null' if rho is None else rho}"
+                    f"{after_rho}{tick}{tail}"
+                )
+            else:
+                fh.write(encode(record.to_wire()) + "\n")
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """Yield ``("<path>:<line>", document)`` for each non-blank line.
 
     An unreadable file, bytes that are not UTF-8 and a line that is not
-    JSON each raise :class:`ValidationError` naming the path.
+    JSON each raise :class:`ValidationError` naming the path.  Only JSON's
+    own whitespace is stripped, so a line that ``json.loads`` rejects, such
+    as one ending in a vertical tab or U+2028, is not JSON here either.
     """
+    decode, prefix = _JSON_DECODER.raw_decode, f"{path}:"
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
-                where = f"{path}:{line_no}"
+                where = f"{prefix}{line_no}"
+                # On a stripped line, a value that ends the line is what
+                # json.loads returns; anything else goes to json.loads for
+                # its verdict and exact message.
                 try:
-                    doc = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise ValidationError(f"{where}: not JSON: {exc}") from exc
+                    doc, end = decode(line)
+                except (json.JSONDecodeError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    try:
+                        doc = json.loads(line)
+                    except (json.JSONDecodeError, RecursionError) as exc:
+                        raise ValidationError(f"{where}: not JSON: {exc}") from exc
                 yield where, doc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

@@ -126,7 +126,10 @@ class _CaptureHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def capture_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CaptureHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    # A short poll interval lets shutdown() return promptly at teardown.
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    ).start()
     _CaptureHandler.bodies = []
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/notify"
