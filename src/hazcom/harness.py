@@ -12,8 +12,10 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -359,7 +361,11 @@ _BENIGN_POOL: tuple[tuple[tuple[str, str], ...], ...] = (
 
 @dataclass(frozen=True)
 class MixConfig:
-    """Distribution knobs for generated scenarios."""
+    """Distribution knobs for generated scenarios.
+
+    Weights are keyed by hazard category and location type; each must be a
+    finite number >= 0, and each table's total must be finite.
+    """
 
     hazard_fraction: float = 0.8
     category_weights: Mapping[HazardCategory, float] = field(
@@ -374,12 +380,23 @@ class MixConfig:
             raise ValidationError(
                 f"hazard_fraction {self.hazard_fraction} outside [0, 1]"
             )
-        for name, table in (
-            ("category_weights", self.category_weights),
-            ("location_weights", self.location_weights),
+        for name, table, key_type in (
+            ("category_weights", self.category_weights, HazardCategory),
+            ("location_weights", self.location_weights, LocationType),
         ):
-            if any(w < 0 for w in table.values()):
-                raise ValidationError(f"{name} must be non-negative")
+            for key, weight in table.items():
+                if not isinstance(key, key_type):
+                    raise ValidationError(
+                        f"{name} key {key!r} is not a {key_type.__name__}"
+                    )
+                if not isinstance(weight, (int, float)) or not math.isfinite(weight):
+                    raise ValidationError(
+                        f"{name} weight {weight!r} for {key.value} must be a finite number"
+                    )
+                if weight < 0:
+                    raise ValidationError(f"{name} must be non-negative")
+            if not math.isfinite(sum(table.values())):
+                raise ValidationError(f"{name} must have a finite total")
         if self.hazard_fraction > 0 and not any(
             w > 0 for w in self.category_weights.values()
         ):
@@ -388,17 +405,27 @@ class MixConfig:
             raise ValidationError("at least one location weight must be positive")
 
 
-def _weighted_choice(rng: random.Random, table: Mapping, allowed=None):
+_CROWDS = tuple(CrowdDensity)
+
+
+def _choice_table(weights: Mapping, allowed=None) -> tuple[tuple, list]:
+    """Keys with positive weight (within ``allowed``) and their cumulative
+    weights, in table order, as ``random.choices`` accumulates them."""
     items = [
-        (key, weight) for key, weight in table.items()
+        (key, weight) for key, weight in weights.items()
         if weight > 0 and (allowed is None or key in allowed)
     ]
     if not items:
         # Exemplar constraints can exclude every weighted location; fall
         # back to the allowed set uniformly.
         items = [(key, 1.0) for key in allowed]
-    keys, weights = zip(*items)
-    return rng.choices(keys, weights=weights, k=1)[0]
+    keys, values = zip(*items)
+    return keys, list(accumulate(values))
+
+
+def _weighted_choice(rng: random.Random, table: tuple[tuple, list]):
+    keys, cum_weights = table
+    return rng.choices(keys, cum_weights=cum_weights)[0]
 
 
 def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
@@ -416,6 +443,14 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
         category for category in HazardCategory
         if mix.category_weights.get(category, 0.0) > 0
     ]
+    locations = _choice_table(mix.location_weights)
+    categories = _choice_table(mix.category_weights) if active_categories else None
+    allowed_locations = {
+        allowed: _choice_table(mix.location_weights, allowed)
+        for pool in _CATEGORY_POOL.values() for _, _, allowed in pool
+        if allowed is not None
+    }
+    allowed_locations[None] = locations
     scenarios = []
     for i in range(n):
         steps = rng.randint(1, 3)
@@ -428,17 +463,17 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
                 mix.hazard_fraction == 0.0 or rng.random() >= mix.hazard_fraction
             ):
                 entities = rng.choice(_BENIGN_POOL)
-                location = _weighted_choice(rng, mix.location_weights)
+                location = _weighted_choice(rng, locations)
                 caption = (
                     f"patrol view of the {location_phrase(location)}"
                     + (f", {entities[0][0]} {entities[0][1]}" if entities else ", clear")
                 )
                 observations.append(_obs(t, caption, entities, location))
                 continue
-            category = force_category or _weighted_choice(rng, mix.category_weights)
+            category = force_category or _weighted_choice(rng, categories)
             label, attribute, allowed = rng.choice(_CATEGORY_POOL[category])
-            location = _weighted_choice(rng, mix.location_weights, allowed=allowed)
-            crowd = rng.choice(list(CrowdDensity))
+            location = _weighted_choice(rng, allowed_locations[allowed])
+            crowd = rng.choice(_CROWDS)
             caption = f"{label} {attribute} in the {location_phrase(location)}"
             observations.append(_obs(t, caption, [(label, attribute)], location, crowd))
         truths = tuple(truth_from_rules(o) for o in observations)

@@ -11,10 +11,15 @@ implementations share that contract:
 
 ``with_fault_injection`` wraps any backend with seeded delays and failures
 for exercising the engine's budget/fallback path.
+
+Rule matches, object identities and the built-in backends' verdicts are
+memoized in bounded caches; a verdict is shared between callers and is
+immutable.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -62,6 +67,11 @@ class BackendResponseError(BackendError, ValidationError):
 
 class InjectedFault(BackendError):
     """Deliberate failure raised by the fault-injection wrapper."""
+
+
+#: Entries each perception memo keeps at most: a rule table's matches, the
+#: shared verdicts, and the baselines' object identities.
+MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,7 @@ class RuleTable:
     """
 
     rules: tuple[Rule, ...]
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -215,6 +226,28 @@ class RuleTable:
             )
 
     def match(self, entity: Entity, env: EnvContext) -> Rule:
+        """The first rule matching ``entity`` in ``env``.
+
+        Memoized per table by everything a rule tests: the entity's label and
+        attribute and the three context fields.  The memo keeps at most
+        ``MEMO_SIZE`` entries and starts over when full; a context whose
+        fields cannot be hashed is scanned without it.
+        """
+        key = (entity.object_label, entity.attribute,
+               env.location_type, env.crowd_density, env.vulnerable_present)
+        memo = self._memo
+        try:
+            rule = memo.get(key)
+        except TypeError:  # an unhashable context field
+            return self._scan(entity, env)
+        if rule is None:
+            rule = self._scan(entity, env)
+            if len(memo) >= MEMO_SIZE:
+                memo.clear()
+            memo[key] = rule
+        return rule
+
+    def _scan(self, entity: Entity, env: EnvContext) -> Rule:
         for rule in self.rules:
             if rule.matches(entity, env):
                 return rule
@@ -309,7 +342,8 @@ def scripted_assess(table: RuleTable, obs: Observation) -> Optional[HazardAssess
 
     Each entity takes its first matching rule; when several entities emit a
     hazard, the highest risk score wins (ties: earliest entity).  Total:
-    returns None, never raises, for any well-formed observation.
+    returns None, never raises, for any well-formed observation.  Equal
+    verdicts are one shared, immutable assessment.
     """
     best: tuple[Entity, Rule] | None = None
     for entity in obs.salient_entities:
@@ -329,10 +363,37 @@ def scripted_assess(table: RuleTable, obs: Observation) -> Optional[HazardAssess
         f"{rule.object_pattern}|{rule.attribute_pattern} -> "
         f"{emission.category._value_}/{emission.level._value_}"
     )
+    return _shared_assessment(
+        emission.category, emission.level, emission.time_sensitivity,
+        emission.feasibility, emission.risk.value, rationale,
+    )
+
+
+def _shared_assessment(
+    category: HazardCategory,
+    level: Criticality,
+    time_sensitivity: TimeSensitivity,
+    feasibility: Feasibility,
+    score: float,
+    rationale: str,
+) -> HazardAssessment:
+    """The validated assessment with these contents, built once and shared.
+
+    Memoized in a bounded cache of immutable verdicts.  The key keeps the
+    score's sign, as ``-0.0`` and ``0.0`` serialize apart.
+    """
+    return _verdict(category, level, time_sensitivity, feasibility,
+                    score, math.copysign(1.0, score), rationale)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _verdict(category: HazardCategory, level: Criticality, time_sensitivity: TimeSensitivity,
+             feasibility: Feasibility, score: float, sign: float,
+             rationale: str) -> HazardAssessment:
     return HazardAssessment(
-        category=emission.category,
-        factors=ContextFactors(emission.level, emission.time_sensitivity, emission.feasibility),
-        risk=emission.risk,
+        category=category,
+        factors=ContextFactors(level, time_sensitivity, feasibility),
+        risk=RiskScore(score),
         rationale=rationale,
     )
 
@@ -373,6 +434,7 @@ _OBJECT_POLICY: tuple[tuple[Callable, HazardCategory, Criticality, float], ...] 
 )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _object_identity(label: str) -> tuple[HazardCategory, Criticality, float] | None:
     lowered = label.lower()
     for match, category, level, score in _OBJECT_POLICY:
@@ -399,14 +461,10 @@ def baseline_object_assess(obs: Observation) -> Optional[HazardAssessment]:
         return None
     entity, category, level, score = best
     tau, phi = _FACTORS_BY_LEVEL[level]
-    return HazardAssessment(
-        category=category,
-        factors=ContextFactors(level, tau, phi),
-        risk=RiskScore(score),
-        rationale=(
-            f"object-identity policy: {entity.object_label!r} is always "
-            f"{level._value_}, context ignored"
-        ),
+    return _shared_assessment(
+        category, level, tau, phi, score,
+        f"object-identity policy: {entity.object_label!r} is always "
+        f"{level._value_}, context ignored",
     )
 
 
@@ -437,14 +495,10 @@ def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     entity, category = detected
     level = _LOCATION_POLICY[obs.env.location_type]
     tau, phi = _FACTORS_BY_LEVEL[level]
-    return HazardAssessment(
-        category=category,
-        factors=ContextFactors(level, tau, phi),
-        risk=RiskScore(REPRESENTATIVE_RISK[level]),
-        rationale=(
-            f"location policy: anything in the {obs.env.location_type._value_} "
-            f"is {level._value_}"
-        ),
+    return _shared_assessment(
+        category, level, tau, phi, REPRESENTATIVE_RISK[level],
+        f"location policy: anything in the {obs.env.location_type._value_} "
+        f"is {level._value_}",
     )
 
 

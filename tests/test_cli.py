@@ -198,6 +198,28 @@ class TestGen:
         assert main(["gen", "--seed", seed, "--n", "200", "--report", str(path)]) == EXIT_CLEAN
         assert path.read_bytes() == stdout
 
+    def test_gen_locations_matches_golden_digest(self, capsys):
+        argv = ["gen", "--seed", "24", "--n", "200",
+                "--locations", "Kitchen=3,Corridor=0.5,Office=0"]
+        assert main(argv) == EXIT_CLEAN
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "a2851b715b8bffa38f4251e77bccab0222a913145d75a82c03b3ee4c46e22160"
+        )
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--mix", "Waste=inf"),
+        ("--mix", "Waste=nan"),
+        ("--locations", "Kitchen=inf"),
+        ("--locations", "Kitchen=1e308,Office=1e308"),
+    ])
+    def test_gen_non_finite_weight_is_config_error(self, capsys, flag, spec):
+        assert main(["gen", "--n", "5", flag, spec]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid mix: ")
+        assert captured.err.count("\n") == 1
+
     def test_gen_writes_loadable_suite(self, tmp_path, capsys):
         path = tmp_path / "generated.json"
         code = main(["gen", "--seed", "5", "--n", "12", "--report", str(path)])

@@ -11,6 +11,7 @@ from hazcom import (
     FaultProfile,
     HazardCategory,
     LocationBaselineBackend,
+    LocationType,
     MixConfig,
     ObjectBaselineBackend,
     Scenario,
@@ -29,7 +30,7 @@ from hazcom import (
 from hazcom.clock import seconds_to_ticks
 from hazcom.core import RiskScore, band_risk
 from hazcom.engine import read_trace, write_trace
-from hazcom.harness import run_scenario, truth_from_rules
+from hazcom.harness import run_scenario, scenario_file_text, truth_from_rules
 
 
 def local_backends():
@@ -325,6 +326,54 @@ class TestGenerate:
             for truth in scenario.ground_truth:
                 if truth is not None:
                     assert band_risk(RiskScore(truth.risk)) is truth.criticality
+
+    @pytest.mark.parametrize("weights", [
+        {HazardCategory.WASTE: float("inf")},
+        {HazardCategory.WASTE: float("nan")},
+        {HazardCategory.WASTE: float("-inf")},
+        {HazardCategory.WASTE: 1e308, HazardCategory.DISTRESS: 1e308},
+        {HazardCategory.WASTE: "1.0"},
+        {"Waste": 1.0},
+        {LocationType.KITCHEN: 1.0},
+    ])
+    def test_bad_category_weights_rejected(self, weights):
+        with pytest.raises(ValidationError):
+            MixConfig(category_weights=weights)
+
+    @pytest.mark.parametrize("weights", [
+        {LocationType.KITCHEN: float("inf")},
+        {LocationType.KITCHEN: float("nan")},
+        {LocationType.KITCHEN: 1e308, LocationType.OFFICE: 1e308},
+        {"kitchen": 1.0},
+        {HazardCategory.WASTE: 1.0},
+    ])
+    def test_bad_location_weights_rejected(self, weights):
+        with pytest.raises(ValidationError):
+            MixConfig(location_weights=weights)
+
+    # Golden digests of the scenario file under non-default mixes: the
+    # generator must keep consuming its RNG exactly as it always has.
+    @pytest.mark.parametrize("seed, mix, digest", [
+        # Every weight on Kitchen: the exemplars that exclude the kitchen
+        # fall back to their allowed locations uniformly.
+        (21, MixConfig(location_weights={
+            location: (1.0 if location is LocationType.KITCHEN else 0.0)
+            for location in LocationType
+        }), "028f424dc99d00ad0c5760db68daff5d7378783c4b58bcd6ec8c1c696b31f400"),
+        (22, MixConfig(category_weights={
+            HazardCategory.SHARP_OBJECT: 5.0,
+            HazardCategory.WASTE: 0.5,
+            HazardCategory.DISTRESS: 2.25,
+            HazardCategory.PERSON_DOWN: 0.0,
+            HazardCategory.SUSPICIOUS_ITEM: 1.0,
+            HazardCategory.UNATTENDED_ITEM: 0.125,
+        }), "bbe5ad4055982175bb6164df11d1ed0d05e180cd3f02683e98ed18fc1d63d13c"),
+        (23, MixConfig(hazard_fraction=0.0),
+         "217645d2f393c7a3631e8a1d1c62a1187072f58e755b1c86bbf77c74b7ea886d"),
+    ], ids=["kitchen-only", "skewed-categories", "no-hazards"])
+    def test_generate_matches_golden_digest(self, seed, mix, digest):
+        text = scenario_file_text(generate(seed, 200, mix))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_category_weights_respected(self):
         mix = MixConfig(category_weights={

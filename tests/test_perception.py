@@ -1,3 +1,6 @@
+import itertools
+import json
+import math
 from fnmatch import fnmatchcase
 
 import pytest
@@ -9,24 +12,39 @@ from hazcom import (
     ContextFactors,
     Criticality,
     CrowdDensity,
+    EnvContext,
     Feasibility,
     HazardAssessment,
     HazardCategory,
     InjectedFault,
+    LocationBaselineBackend,
     LocationType,
+    ObjectBaselineBackend,
+    Observation,
     RiskScore,
     RuleTable,
+    Scenario,
     TimeSensitivity,
     ValidationError,
     band_risk,
     baseline_location_assess,
     baseline_object_assess,
     builtin_rule_table,
+    run_suite,
     scripted_assess,
     with_fault_injection,
 )
 from hazcom.clock import VirtualClock
-from hazcom.perception import Entity, FaultProfile, Rule, ScriptedBackend
+from hazcom.engine import write_trace
+from hazcom.perception import (
+    MEMO_SIZE,
+    Entity,
+    FaultProfile,
+    Rule,
+    ScriptedBackend,
+    _object_identity,
+    _verdict,
+)
 
 from conftest import make_obs
 
@@ -325,3 +343,178 @@ class TestFaultInjection:
             FaultProfile(added_delay=-1)
         with pytest.raises(ValidationError):
             FaultProfile(failure_rate=1.5)
+
+
+# --------------------------------------------------------------------------
+# Memoized matching and shared verdicts
+
+
+def scan(table, entity, env):
+    """The reference lookup: the first rule matching, by a linear scan."""
+    return next(rule for rule in table.rules if rule.matches(entity, env))
+
+
+# The words the builtin rules test, plus a few the generator and suites use.
+RULE_WORDS = (
+    "knife", "scissors", "glass", "person", "crowd", "gun", "toy gun", "trash",
+    "garbage", "litter", "bag", "appliance", "cooking", "in-use-cooking",
+    "shattered", "on-floor-posture-abnormal", "panic-behavior", "agitated",
+    "toy-packaging", "unattended", "posture-occluded", "walking", "standing-by",
+    "seated", "in-use-normal", "on-floor",
+)
+
+mixed_case_words = st.sampled_from(RULE_WORDS).flatmap(
+    lambda word: st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+)
+labels = st.one_of(mixed_case_words, st.text(min_size=1, max_size=10))
+attributes = st.one_of(mixed_case_words, st.text(max_size=10))
+
+# Differs from the builtin table wherever a knife, a bag, a dense crowd or a
+# vulnerable person is in view, and tests "no" for vulnerable and a crowd
+# density, which the builtin table does not.
+OTHER_TABLE_TEXT = (
+    "*knife*|*|*|*|no => SharpObject,Low,NearFuture,Robot,1.0\n"
+    "*bag*|*|Kitchen|*|* => none\n"
+    "*|*|*|Dense|* => Distress,High,Immediate,HelpNeeded,8.5\n"
+    "*|*|*|*|yes => Distress,High,Immediate,HelpNeeded,8.0\n"
+    "*|*|*|*|* => Waste,Low,NearFuture,Robot,0.5\n"
+)
+
+
+class TestMemoizedMatch:
+    @given(
+        st.lists(st.tuples(labels, attributes), min_size=1, max_size=4),
+        st.sampled_from(list(LocationType)),
+        st.sampled_from(list(CrowdDensity)),
+        st.booleans(),
+    )
+    def test_equals_linear_scan_on_miss_and_hit(self, entities, location, crowd, vulnerable):
+        # Fresh tables start with empty memos, so the first lookup misses.
+        tables = (RuleTable(builtin_rule_table().rules), RuleTable.parse(OTHER_TABLE_TEXT))
+        obs = make_obs(entities, location=location, crowd=crowd, vulnerable=vulnerable)
+        for _ in range(2):  # memo miss, then memo hit
+            for table in tables:
+                for entity in obs.salient_entities:
+                    rule = table.match(entity, obs.env)
+                    assert rule is scan(table, entity, obs.env)
+                    assert any(rule is own for own in table.rules)
+
+    def test_every_context_on_a_warm_table(self):
+        # One table answers every combination twice: a memo key that left
+        # out any field the rules test would hand back a stale rule.
+        for table in (RuleTable(builtin_rule_table().rules), RuleTable.parse(OTHER_TABLE_TEXT)):
+            for _ in range(2):
+                for label, attribute, location, crowd, vulnerable in itertools.product(
+                    ("knife", "KNIFE", "bag", "person"), ("", "Panic", "in-use-cooking"),
+                    LocationType, CrowdDensity, (False, True),
+                ):
+                    entity = Entity(label, attribute)
+                    env = EnvContext(location, crowd, vulnerable)
+                    assert table.match(entity, env) is scan(table, entity, env)
+
+    def test_tables_do_not_share_a_memo(self):
+        builtin, other = builtin_rule_table(), RuleTable.parse(OTHER_TABLE_TEXT)
+        obs = make_obs([("knife", "on-floor")], location=LocationType.KITCHEN)
+        entity = obs.salient_entities[0]
+        first = builtin.match(entity, obs.env)
+        second = other.match(entity, obs.env)
+        assert first.emission.level is Criticality.MEDIUM
+        assert second.emission.level is Criticality.LOW
+        assert builtin.match(entity, obs.env) is first
+        assert other.match(entity, obs.env) is second
+
+    def test_memo_does_not_change_equality_or_hash(self):
+        warm, cold = builtin_rule_table(), RuleTable(builtin_rule_table().rules)
+        warm.match(Entity("knife", ""), make_obs().env)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert "_memo" not in repr(cold)
+
+    @pytest.mark.parametrize("make_table", [
+        builtin_rule_table, lambda: RuleTable.parse(OTHER_TABLE_TEXT),
+    ])
+    @pytest.mark.parametrize("vulnerable", [[], {}, [True]])
+    def test_unhashable_context_gets_the_scanned_verdict(self, make_table, vulnerable):
+        table = make_table()
+        for label, attribute in (("knife", "on-floor"), ("bag", ""), ("lamp", "")):
+            entity = Entity(label, attribute)
+            env = EnvContext(LocationType.KITCHEN, CrowdDensity.NONE, vulnerable)
+            rule = scan(table, entity, env)
+            assert table.match(entity, env) is rule
+            obs = make_obs([(label, attribute)], location=LocationType.KITCHEN)
+            obs = Observation(obs.timestamp, obs.scene_caption, obs.salient_entities, env)
+            verdict = scripted_assess(table, obs)
+            if rule.emission is None:
+                assert verdict is None
+            else:
+                assert verdict.category is rule.emission.category
+                assert verdict.risk == rule.emission.risk
+
+
+class TestSharedVerdicts:
+    def test_equal_verdicts_are_one_object(self, s1_obs):
+        assert scripted_assess(builtin_rule_table(), s1_obs) is scripted_assess(
+            builtin_rule_table(), s1_obs
+        )
+        assert baseline_object_assess(s1_obs) is baseline_object_assess(s1_obs)
+        assert baseline_location_assess(s1_obs) is baseline_location_assess(s1_obs)
+
+    def test_shared_verdict_is_immutable(self, s1_obs):
+        verdict = scripted_assess(builtin_rule_table(), s1_obs)
+        with pytest.raises(AttributeError):
+            verdict.rationale = "changed"
+
+    def test_zero_and_negative_zero_scores_keep_their_sign(self, tmp_path):
+        # Both rules give the same rationale for the same entity and place,
+        # so their verdicts differ only in the sign of the score.
+        table = RuleTable.parse(
+            "*|*|*|*|yes => Waste,Low,NearFuture,Robot,-0.0\n"
+            "*|*|*|*|* => Waste,Low,NearFuture,Robot,0.0\n"
+        )
+        scenario = Scenario(
+            "signed-zero",
+            tuple(
+                make_obs([("wrapper", "crumpled")], vulnerable=vulnerable, timestamp=t)
+                for t, vulnerable in enumerate((True, False, True, False))
+            ),
+            (None, None, None, None),
+        )
+        signs = [-1.0, 1.0, -1.0, 1.0]
+        for obs, sign in zip(scenario.observations, signs):
+            verdict = scripted_assess(table, obs)
+            assert verdict.risk.value == 0.0
+            assert math.copysign(1.0, verdict.risk.value) == sign
+        report = run_suite([scenario], {"scripted": ScriptedBackend(table)})
+        records = report.results["scripted"].runs["signed-zero"].trace
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, records)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["rho"] for line in lines] == [0.0] * 4
+        assert ['"rho": -0.0' in line for line in lines] == [True, False, True, False]
+        assert ['"rho": 0.0' in line for line in lines] == [False, True, False, True]
+
+    def test_open_vocabulary_stream_stays_within_bounds(self):
+        # 100,000 distinct labels, as from an open-vocabulary detector, in
+        # 2,000 scenes of 50 entities; every memo must stay bounded and every
+        # answer must stay the scanned one.
+        table = RuleTable(builtin_rule_table().rules)
+        backends = (ScriptedBackend(table), ObjectBaselineBackend(), LocationBaselineBackend())
+        per_scene = 50
+        for scene in range(2_000):
+            entities = [
+                (f"{('knife', 'bag', 'thing')[i % 3]}-{scene}-{i}", "")
+                for i in range(per_scene)
+            ]
+            obs = make_obs(entities, location=list(LocationType)[scene % 5])
+            for backend in backends:
+                backend.assess(obs)
+            if scene % 400 == 0:
+                for entity in obs.salient_entities:
+                    assert table.match(entity, obs.env) is scan(table, entity, obs.env)
+        assert len(table._memo) <= MEMO_SIZE
+        assert _verdict.cache_info().currsize <= MEMO_SIZE
+        assert _object_identity.cache_info().currsize <= MEMO_SIZE
+        verdict = scripted_assess(table, obs)
+        assert verdict.rationale.startswith(repr(entities[0][0]))
