@@ -56,11 +56,9 @@ class MemorySink:
     log: list[DeliveryRecord] = field(default_factory=list)
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
+        message = output.message
         record = DeliveryRecord(
-            channel=self.channel,
-            tick=tick,
-            success=True,
-            detail=f"{output.message.character._value_}: {output.message.text}",
+            self.channel, tick, True, f"{message.character._value_}: {message.text}"
         )
         self.log.append(record)
         return record
@@ -118,7 +116,7 @@ def build_registry(sinks: Iterable[ChannelSink]) -> dict[Channel, ChannelSink]:
 
 def memory_registry() -> dict[Channel, MemorySink]:
     """One memory sink per channel; handy default for simulated runs."""
-    return {channel: memory_sink(channel) for channel in CHANNEL_ORDER}
+    return {channel: MemorySink(channel) for channel in CHANNEL_ORDER}
 
 
 def dispatch(
@@ -131,14 +129,19 @@ def dispatch(
     A sink must exist for every required channel before any delivery is
     attempted; channels outside the recipient set are never invoked.
     """
-    registry = sinks if isinstance(sinks, Mapping) else build_registry(sinks)
-    channels = RECIPIENTS_IN_ORDER[output.criticality]
-    missing = [ch.value for ch in channels if ch not in registry]
-    if missing:
+    # A plain dict is tested by type first: the abstract Mapping test costs
+    # several times as much, and every step's outputs are dispatched.
+    registry = (
+        sinks if type(sinks) is dict or isinstance(sinks, Mapping) else build_registry(sinks)
+    )
+    if not registry.keys() >= output.recipients:
+        missing = [
+            ch.value for ch in RECIPIENTS_IN_ORDER[output.criticality] if ch not in registry
+        ]
         raise ConfigurationError(f"no sink registered for channels: {missing}")
 
     records: list[DeliveryRecord] = []
-    for channel in channels:
+    for channel in RECIPIENTS_IN_ORDER[output.criticality]:
         sink = registry[channel]
         try:
             record = sink.deliver(output, tick)

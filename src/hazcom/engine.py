@@ -40,7 +40,7 @@ from .core import (
     members_by_label,
     policy_output,
 )
-from .perception import Backend, HazardAssessment, Observation
+from .perception import Backend, Observation
 
 
 @dataclass(frozen=True)
@@ -123,22 +123,24 @@ class TraceRecord(NamedTuple):
     def to_wire(self) -> dict:
         # Labels are read from each member's stored ``_value_``: the ``.value``
         # descriptor costs ten times as much, and every record is encoded often.
+        (tick, obs_id, category, level, time_sensitivity, feasibility, risk,
+         criticality, tone, character, alarm, recipients, t_total, fallback, text) = self
         return {
-            "tick": self.tick,
-            "obs_id": self.obs_id,
-            "category": self.category._value_ if self.category else None,
-            "d": self.level._value_ if self.level else None,
-            "tau": self.time_sensitivity._value_ if self.time_sensitivity else None,
-            "phi": self.feasibility._value_ if self.feasibility else None,
-            "rho": self.risk,
-            "k": self.criticality._value_ if self.criticality else None,
-            "gamma": self.tone,
-            "chi": self.character._value_ if self.character else None,
-            "alarm": self.alarm,
-            "recipients": [c._value_ for c in self.recipients],
-            "t_total": self.t_total,
-            "fallback": self.fallback,
-            "text": self.text,
+            "tick": tick,
+            "obs_id": obs_id,
+            "category": category._value_ if category is not None else None,
+            "d": level._value_ if level is not None else None,
+            "tau": time_sensitivity._value_ if time_sensitivity is not None else None,
+            "phi": feasibility._value_ if feasibility is not None else None,
+            "rho": risk,
+            "k": criticality._value_ if criticality is not None else None,
+            "gamma": tone,
+            "chi": character._value_ if character is not None else None,
+            "alarm": alarm,
+            "recipients": [c._value_ for c in recipients],
+            "t_total": t_total,
+            "fallback": fallback,
+            "text": text,
         }
 
     @classmethod
@@ -406,6 +408,10 @@ def fallback_output(last_known: Criticality | None) -> CommOutput:
     )
 
 
+# Stands in for the verdict of a backend that raised.
+_BACKEND_FAILED = object()
+
+
 class Engine:
     """The event-loop core: alarm latch, last-known criticality, pending
     queue, stage timing, and the budget-checked fallback path."""
@@ -423,14 +429,6 @@ class Engine:
         self.last_known_criticality: Criticality | None = None
         self.queue = PendingQueue()
         self._step_index = 0
-
-    def apply_fallback(self) -> CommOutput:
-        """Build the fallback alert for the current state.
-
-        Meant for the degraded path only: when the budget is exceeded or
-        the backend failed.
-        """
-        return fallback_output(self.last_known_criticality)
 
     def enqueue(self, output: CommOutput) -> None:
         self.queue.push(output)
@@ -450,97 +448,65 @@ class Engine:
         fallback path and recorded.  Every step yields either an output
         (enqueued for dispatch) or an explicit no-hazard record.
         """
-        profile = self.config.timers
+        profile, clock = self.config.timers, self.clock
         if obs_id is None:
             obs_id = f"step-{self._step_index:05d}"
         self._step_index += 1
 
-        start = self.clock.now
-        self.clock.advance(profile.t_camera)
-        self.clock.advance(profile.t_heatmap)
-
-        llm_start = self.clock.now
-        self.clock.advance(profile.t_llm)
-        assessment: Optional[HazardAssessment] = None
-        backend_failed = False
+        start = clock.now
+        clock.advance(profile.t_camera)
+        clock.advance(profile.t_heatmap)
+        llm_start = clock.now
+        clock.advance(profile.t_llm)
         try:
             assessment = backend.assess(obs)
         except Exception:  # whatever a backend raises, the fallback alert goes out
-            backend_failed = True
-        t_llm = self.clock.now - llm_start
-
+            assessment = _BACKEND_FAILED
+        t_llm = clock.now - llm_start
         timers = (
             profile if t_llm == profile.t_llm
             else StageTimers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
         )
-        output: Optional[CommOutput] = None
-        fallback_used = False
-        if backend_failed:
-            # No information at all: dispatch the conservative alert.
-            self.clock.advance(profile.t_comm)
-            output = self.apply_fallback()
-            fallback_used = True
-        elif assessment is None:
-            # Explicit no-hazard: clear the alarm, nothing to say.
+
+        if assessment is None:
+            # Explicit no-hazard: clear the alarm, nothing to say, no t_comm.
             self.alarm_latched = False
             if timers.t_comm:
                 timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, 0)
-        else:
-            self.clock.advance(profile.t_comm)
-            if timers.total > self.config.t_max:
-                # The verdict arrived past the deadline; the pre-formulated
-                # alert from the last known criticality goes out instead.
-                output = self.apply_fallback()
-                fallback_used = True
-            else:
-                output = assemble_output(
-                    assessment.category, assessment.risk, obs.env,
-                    table=self.templates,
-                )
+            return StepResult(None, timers, False, TraceRecord(
+                start, obs_id, None, None, None, None, None, None, None, None,
+                False, (), timers.total, False, None,
+            ))
+
+        clock.advance(profile.t_comm)
+        t_total = timers.total
+        level = time_sensitivity = feasibility = None
+        if assessment is _BACKEND_FAILED:
+            # No information at all: dispatch the conservative alert.
+            output = fallback_output(self.last_known_criticality)
+            fallback_used = True
+        elif t_total > self.config.t_max:
+            # The verdict arrived past the deadline; the pre-formulated alert
+            # from the last known criticality goes out instead, and the late
+            # verdict's grade becomes the last known one only after that.
+            output = fallback_output(self.last_known_criticality)
             self.last_known_criticality = band_risk(assessment.risk)
-
-        if output is not None:
-            self.alarm_latched = output.alarm
-            self.enqueue(output)
-
-        record = self._record(
-            obs_id, start, assessment if not fallback_used else None,
-            output, timers, fallback_used,
-        )
-        return StepResult(
-            output=output, timers=timers, fallback_used=fallback_used, record=record
-        )
-
-    def _record(
-        self,
-        obs_id: str,
-        tick: int,
-        assessment: Optional[HazardAssessment],
-        output: Optional[CommOutput],
-        timers: StageTimers,
-        fallback_used: bool,
-    ) -> TraceRecord:
-        if output is None:
-            return TraceRecord(
-                tick=tick, obs_id=obs_id, category=None, level=None,
-                time_sensitivity=None, feasibility=None, risk=None,
-                criticality=None, tone=None, character=None, alarm=False,
-                recipients=(), t_total=timers.total, fallback=False, text=None,
+            fallback_used = True
+        else:
+            output = assemble_output(
+                assessment.category, assessment.risk, obs.env, table=self.templates,
             )
-        return TraceRecord(
-            tick=tick,
-            obs_id=obs_id,
-            category=output.category,
-            level=assessment.factors.criticality_level if assessment else None,
-            time_sensitivity=assessment.factors.time_sensitivity if assessment else None,
-            feasibility=assessment.factors.feasibility if assessment else None,
-            risk=output.risk.value,
-            criticality=output.criticality,
-            tone=output.message.tone,
-            character=output.message.character,
-            alarm=output.alarm,
-            recipients=RECIPIENTS_IN_ORDER[output.criticality],
-            t_total=timers.total,
-            fallback=fallback_used,
-            text=output.message.text,
-        )
+            self.last_known_criticality = output.criticality
+            factors = assessment.factors
+            level = factors.criticality_level
+            time_sensitivity = factors.time_sensitivity
+            feasibility = factors.feasibility
+            fallback_used = False
+        self.alarm_latched = alarm = output.alarm
+        self.queue.push(output)
+        message, criticality = output.message, output.criticality
+        return StepResult(output, timers, fallback_used, TraceRecord(
+            start, obs_id, output.category, level, time_sensitivity, feasibility,
+            output.risk.value, criticality, message.tone, message.character, alarm,
+            RECIPIENTS_IN_ORDER[criticality], t_total, fallback_used, message.text,
+        ))

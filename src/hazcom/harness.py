@@ -825,15 +825,14 @@ def run_scenario(
     trace: list[TraceRecord] = []
     deliveries: list[list[DeliveryRecord]] = []
     fallback_steps = 0
+    step, queue, clock, prefix = engine.step, engine.queue, engine.clock, scenario.scenario_id
     for index, obs in enumerate(scenario.observations):
-        result = engine.step(
-            obs, live_backend, obs_id=f"{scenario.scenario_id}:{index}"
-        )
+        result = step(obs, live_backend, f"{prefix}:{index}")
         trace.append(result.record)
         fallback_steps += result.fallback_used
         group: list[DeliveryRecord] = []
-        while (pending := engine.dequeue()) is not None:
-            group.extend(dispatch(pending, sinks, engine.clock.now))
+        while queue:
+            group.extend(dispatch(queue.pop(), sinks, clock.now))
         deliveries.append(group)
     return ScenarioRun(
         scenario_id=scenario.scenario_id,

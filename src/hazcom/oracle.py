@@ -5,7 +5,12 @@ from the recorded risk score alone, using literal thresholds and tables --
 deliberately not the implementation in :mod:`hazcom.core` -- and reports
 every mismatch.  Works on raw wire-level dicts so serialization bugs are
 caught too: the JSON type of each scalar is checked against the trace
-format's own table, the one :func:`hazcom.engine.read_trace` applies.
+format's own table, the one :func:`hazcom.engine.read_trace` applies, and
+each label the reader decodes is checked against the reader's label dicts.
+
+A compliant record is recognised by one conjunction over these tables;
+only a record it does not accept goes through the rule-by-rule checks,
+which build the violations.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .core import ValidationError
-from .engine import _WIRE_SCALAR_TYPES
+from .engine import _CATEGORIES, _FEASIBILITIES, _TIME_SENSITIVITIES, _WIRE_SCALAR_TYPES
 
 
 @dataclass(frozen=True)
@@ -36,13 +41,24 @@ _REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
 
 _POLICY_FIELDS_WHEN_ABSENT = ("category", "d", "tau", "phi", "rho", "gamma", "chi")
 
-_RECIPIENTS_TABLE = {
-    "Low": frozenset({"nearby"}),
-    "Medium": frozenset({"nearby", "remote"}),
-    "High": frozenset({"nearby", "remote", "coordination"}),
+# The routes in the order the engine records them; a record is checked
+# against their sets, in any order.
+_ROUTES = {
+    "Low": ["nearby"],
+    "Medium": ["nearby", "remote"],
+    "High": ["nearby", "remote", "coordination"],
 }
+_RECIPIENTS_TABLE = {band: frozenset(route) for band, route in _ROUTES.items()}
 
 _CHARACTER_TABLE = {"Low": "inquiry", "Medium": "alert", "High": "urgent"}
+
+# Label fields with no rule of their own, each with the label dict the trace
+# reader decodes it by (null included) and the name its messages give.
+_LABEL_FIELDS = (
+    ("category", _CATEGORIES, "HazardCategory"),
+    ("tau", _TIME_SENSITIVITIES, "TimeSensitivity"),
+    ("phi", _FEASIBILITIES, "Feasibility"),
+)
 
 
 def _expected_band(rho: float) -> str:
@@ -65,27 +81,73 @@ def oracle_verify(records: Iterable[Mapping]) -> list[Violation]:
     """
     violations: list[Violation] = []
     for index, record in enumerate(records):
-        # Wire records are dicts; testing for dict first costs a fifth of
-        # the abstract Mapping test.
-        if not isinstance(record, dict) and not isinstance(record, Mapping):
-            raise _malformed(index, "not an object")
-        if not _REQUIRED_KEY_SET <= record.keys():
-            missing = [key for key in _REQUIRED_KEYS if key not in record]
-            raise _malformed(index, f"missing fields {missing}")
-        recipients = record["recipients"]
-        if not isinstance(recipients, (list, tuple)) or not all(
-            map(str.__instancecheck__, recipients)
-        ):
-            raise _malformed(index, "'recipients' must be a list of strings")
-        for key, types, what in _WIRE_SCALAR_TYPES:
+        if not _compliant(record):
+            violations.extend(_check_record(index, record))
+    return violations
+
+
+def _compliant(record: object) -> bool:
+    """Whether ``record`` is a wire dict that breaks no rule.
+
+    One conjunction over the same tables the rule-by-rule checks use, which
+    builds nothing; it accepts only canonical values (a float score, the
+    route list in the engine's order, a ``str`` text), so a compliant record
+    written otherwise is left to the checks, which find nothing.  Accepting
+    a record the checks would fault is the one thing it must never do.
+    """
+    if type(record) is not dict:
+        return False
+    try:
+        for key, types, _ in _WIRE_SCALAR_TYPES:
             if type(record[key]) not in types:
-                violations.append(Violation(
-                    index, key, "wire-type rule", f"must be {what}, got {record[key]!r}",
-                ))
+                return False
+        recipients, rho = record["recipients"], record["rho"]
         if record["k"] is None:
-            violations.extend(_verify_no_hazard(index, record))
-        else:
-            violations.extend(_verify_hazard(index, record))
+            return (
+                record["alarm"] is False and type(recipients) is list and not recipients
+                and record.get("category") is None and record["d"] is None
+                and record["tau"] is None and record["phi"] is None and rho is None
+                and record["gamma"] is None and record["chi"] is None
+            )
+        if type(rho) is not float or not 0.0 <= rho <= 10.0:
+            return False
+        band, d, text = _expected_band(rho), record["d"], record.get("text")
+        return (
+            record["k"] == band and record["gamma"] == rho
+            and record["chi"] == _CHARACTER_TABLE[band]
+            and record["alarm"] is (band != "Low") and recipients == _ROUTES[band]
+            and (d is None or d == band) and (text is None or type(text) is str and text != "")
+            and record.get("category") in _CATEGORIES
+            and record["tau"] in _TIME_SENSITIVITIES and record["phi"] in _FEASIBILITIES
+        )
+    except (KeyError, TypeError):  # a missing field or an unhashable label
+        return False
+
+
+def _check_record(index: int, record: object) -> list[Violation]:
+    """Every rule ``record`` breaks, one violation each, or the error a
+    structurally broken record raises."""
+    # Wire records are dicts; testing for dict first costs a fifth of
+    # the abstract Mapping test.
+    if not isinstance(record, dict) and not isinstance(record, Mapping):
+        raise _malformed(index, "not an object")
+    if not _REQUIRED_KEY_SET <= record.keys():
+        missing = [key for key in _REQUIRED_KEYS if key not in record]
+        raise _malformed(index, f"missing fields {missing}")
+    recipients = record["recipients"]
+    if not isinstance(recipients, (list, tuple)) or not all(
+        map(str.__instancecheck__, recipients)
+    ):
+        raise _malformed(index, "'recipients' must be a list of strings")
+    violations = [
+        Violation(index, key, "wire-type rule", f"must be {what}, got {record[key]!r}")
+        for key, types, what in _WIRE_SCALAR_TYPES
+        if type(record[key]) not in types
+    ]
+    if record["k"] is None:
+        violations.extend(_verify_no_hazard(index, record))
+    else:
+        violations.extend(_verify_hazard(index, record))
     return violations
 
 
@@ -112,6 +174,18 @@ def _verify_no_hazard(index: int, record: Mapping) -> list[Violation]:
 
 def _verify_hazard(index: int, record: Mapping) -> list[Violation]:
     out = []
+    for field_name, labels, enum_name in _LABEL_FIELDS:
+        value = record.get(field_name)
+        try:
+            known = value in labels
+        except TypeError:  # an unhashable value is no label
+            known = False
+        if not known:
+            valid = ", ".join(label for label in labels if label is not None)
+            out.append(Violation(
+                index, field_name, "label rule",
+                f"unknown {enum_name} {value!r}; expected one of: {valid} or null",
+            ))
     rho = record["rho"]
     if not isinstance(rho, (int, float)) or isinstance(rho, bool):
         out.append(Violation(

@@ -160,6 +160,25 @@ class TestVerifyAndReplay:
         assert "record 1: [wire-type rule] alarm" in out
         assert "2 records checked" in out
 
+    @pytest.mark.parametrize("field, label", [
+        ("category", "NotACategory"), ("tau", "Whenever"), ("phi", "Nope"),
+    ])
+    def test_verify_flags_a_label_that_replay_rejects(self, trace_path, capsys, field, label):
+        records = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines() if line
+        ]
+        next(r for r in records if r["k"] is not None)[field] = label
+        trace_path.write_text(
+            "\n".join(json.dumps(r) for r in records) + "\n"
+        )
+        assert main(["replay", str(trace_path)]) == EXIT_CONFIG
+        assert main(["verify", str(trace_path)]) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert f"[label rule] {field}: unknown" in out
+        assert f"{label!r}" in out
+        assert "1 violations" in out
+
     def test_verify_missing_file(self):
         assert main(["verify", "/nonexistent.jsonl"]) == EXIT_CONFIG
 

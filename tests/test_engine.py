@@ -214,6 +214,115 @@ class TestStep:
         )
 
 
+class TestStepBranchesWithCommTime:
+    """Each outcome of a step with a non-zero t_comm, on both clocks.
+
+    Under the wall clock the stage advances are no-ops and t_llm is the
+    measured time of the backend call, so totals are checked against the
+    step's own timers; under the virtual clock they are exact.
+    """
+
+    TIMERS = StageTimers(t_camera=10, t_heatmap=15, t_llm=95, t_comm=5)
+
+    @pytest.fixture(params=["virtual", "wall"])
+    def make_engine(self, request):
+        def make(t_max=200):
+            clock = VirtualClock() if request.param == "virtual" else WallClock()
+            return Engine(EngineConfig(t_max=t_max, timers=self.TIMERS), clock)
+        return make
+
+    @staticmethod
+    def checked_step(engine, obs, backend):
+        """One step, with the clock and timer checks every branch shares."""
+        start = engine.clock.now
+        result = engine.step(obs, backend)
+        timers, record = result.timers, result.record
+        if isinstance(engine.clock, VirtualClock):
+            assert timers.t_llm == 95
+            assert record.tick == start
+            assert engine.clock.now == start + timers.total
+        else:
+            assert 0 <= timers.t_llm <= 10
+            assert record.tick >= start
+        assert (timers.t_camera, timers.t_heatmap) == (10, 15)
+        assert record.t_total == timers.total
+        return result
+
+    def test_no_hazard_charges_no_comm_time(self, make_engine, s1_obs, empty_obs, scripted):
+        engine = make_engine()
+        self.checked_step(engine, s1_obs, scripted)
+        result = self.checked_step(engine, empty_obs, scripted)
+        assert result.timers.t_comm == 0
+        assert result.record.t_total == 25 + result.timers.t_llm
+        assert result.output is None and result.fallback_used is False
+        assert result.record == TraceRecord(
+            result.record.tick, "step-00001", None, None, None, None, None, None, None,
+            None, False, (), result.record.t_total, False, None,
+        )
+        assert engine.alarm_latched is False
+        assert engine.last_known_criticality is Criticality.HIGH
+
+    def test_assembled_verdict(self, make_engine, s1_obs, scripted):
+        engine = make_engine()
+        result = self.checked_step(engine, s1_obs, scripted)
+        output, record = result.output, result.record
+        assert result.timers.t_comm == 5
+        assert record.t_total == 30 + result.timers.t_llm
+        assert result.fallback_used is False
+        factors = scripted.assess(s1_obs).factors
+        assert record == TraceRecord(
+            record.tick, "step-00000", HazardCategory.SHARP_OBJECT,
+            factors.criticality_level, factors.time_sensitivity, factors.feasibility,
+            output.risk.value, Criticality.HIGH, output.message.tone,
+            output.message.character, True,
+            (Channel.NEARBY, Channel.REMOTE, Channel.COORDINATION), record.t_total,
+            False, output.message.text,
+        )
+        assert engine.alarm_latched is True
+        assert engine.last_known_criticality is Criticality.HIGH
+        assert engine.dequeue() is output
+
+    def test_late_verdict_alerts_from_the_previous_grade(self, make_engine, s1_obs, s2_obs,
+                                                         scripted):
+        # With a 2.6 s budget every verdict is late: 2.5 s onboard plus
+        # 0.5 s of t_comm exceed it on either clock.
+        engine = make_engine(t_max=26)
+        first = self.checked_step(engine, s2_obs, scripted)  # a Low verdict, late
+        assert first.output is fallback_output(None)
+        assert engine.last_known_criticality is Criticality.LOW
+        result = self.checked_step(engine, s1_obs, scripted)  # a High verdict, late
+        output, record = result.output, result.record
+        assert result.fallback_used is True and output is fallback_output(Criticality.LOW)
+        assert result.timers.t_comm == 5
+        assert record.t_total == 30 + result.timers.t_llm > 26
+        assert record == TraceRecord(
+            record.tick, "step-00001", None, None, None, None, 2.0, Criticality.LOW,
+            2.0, output.message.character, False, (Channel.NEARBY,), record.t_total,
+            True, output.message.text,
+        )
+        assert engine.alarm_latched is False
+        assert engine.last_known_criticality is Criticality.HIGH
+
+    def test_backend_error_keeps_the_last_known_grade(self, make_engine, s1_obs, s2_obs,
+                                                      scripted):
+        engine = make_engine()
+        self.checked_step(engine, s1_obs, scripted)  # High: latches the alarm
+        self.checked_step(engine, s2_obs, scripted)  # Low: the last known grade
+        assert engine.alarm_latched is False
+        result = self.checked_step(engine, s1_obs, FailingBackend())
+        output, record = result.output, result.record
+        assert result.fallback_used is True and output is fallback_output(Criticality.LOW)
+        assert result.timers.t_comm == 5
+        assert record.t_total == 30 + result.timers.t_llm
+        assert record == TraceRecord(
+            record.tick, "step-00002", None, None, None, None, 2.0, Criticality.LOW,
+            2.0, output.message.character, False, (Channel.NEARBY,), record.t_total,
+            True, output.message.text,
+        )
+        assert engine.alarm_latched is False
+        assert engine.last_known_criticality is Criticality.LOW
+
+
 class TestEngineConfiguration:
     def test_custom_template_table_used(self, s2_obs, scripted):
         from hazcom import TemplateTable

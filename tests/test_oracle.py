@@ -1,14 +1,23 @@
+import hashlib
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazcom import (
+    Feasibility,
+    HazardCategory,
     ScriptedBackend,
+    TimeSensitivity,
     ValidationError,
     builtin_suite,
     oracle_verify,
     run_suite,
 )
+from hazcom.oracle import _check_record, _compliant
 
 
 def clean_records():
@@ -45,6 +54,8 @@ def corrupt(record, field, rng):
     elif field == "k":
         options = [k for k in K_VALUES if k != record["k"]]
         tampered["k"] = rng.choice(options)
+    elif field in ("category", "tau", "phi"):
+        tampered[field] = rng.choice(["NotALabel", "low", "", 3, ["Waste"]])
     else:
         raise AssertionError(field)
     return tampered
@@ -149,6 +160,35 @@ class TestWireTypes:
             ]
 
 
+_ENUM_NAMES = {"category": "HazardCategory", "tau": "TimeSensitivity", "phi": "Feasibility"}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("field, value", [
+        ("category", "NotACategory"), ("tau", "Whenever"), ("phi", "Nope"),
+        ("category", "waste"), ("tau", 1), ("phi", ["Robot"]), ("category", {}),
+    ])
+    def test_unknown_label_on_a_hazard_record_is_a_violation(self, field, value):
+        records = clean_records()
+        target = next(r for r in records if r["k"] is not None)
+        target[field] = value
+        violations = oracle_verify(records)
+        assert [(v.record_index, v.field, v.rule) for v in violations] == [
+            (records.index(target), field, "label rule"),
+        ]
+        assert violations[0].detail.startswith(f"unknown {_ENUM_NAMES[field]} {value!r};")
+
+    def test_every_known_label_and_null_pass(self):
+        records = clean_records()
+        target = next(r for r in records if r["k"] is not None)
+        for field, enum in (("category", HazardCategory), ("tau", TimeSensitivity),
+                            ("phi", Feasibility)):
+            for value in (None, *(member.value for member in enum)):
+                assert oracle_verify([dict(target, **{field: value})]) == []
+        del target["category"]
+        assert oracle_verify([target]) == []
+
+
 class TestMalformedTraces:
     def test_missing_fields_raise(self):
         with pytest.raises(ValidationError, match="missing"):
@@ -171,7 +211,7 @@ class TestFuzzCampaign:
         base = clean_records()
         hazard_indices = [i for i, r in enumerate(base) if r["k"] is not None]
         rng = random.Random(2024)
-        fields = ["alarm", "recipients", "chi", "gamma", "k"]
+        fields = ["alarm", "recipients", "chi", "gamma", "k", "category", "tau", "phi"]
         detected = 0
         for _ in range(1000):
             records = [dict(r) for r in base]
@@ -181,3 +221,167 @@ class TestFuzzCampaign:
             if oracle_verify(records):
                 detected += 1
         assert detected == 1000
+
+
+class _ReadOnlyRecord(Mapping):
+    """A wire record behind the abstract Mapping interface only."""
+
+    def __init__(self, doc):
+        self._doc = dict(doc)
+
+    def __getitem__(self, key):
+        return self._doc[key]
+
+    def __iter__(self):
+        return iter(self._doc)
+
+    def __len__(self):
+        return len(self._doc)
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Values of the wrong JSON type, or at an edge, for fields with no label.
+_ODD_VALUES = [
+    None, True, False, 0, 1, -1, 7, 10**30, 2.5, -0.0, _NAN, _INF, -_INF,
+    "", "x", "Low", [], ["nearby"], {}, {"a": 1},
+]
+# Label fields keep valid labels (or null): the verdict on an unknown
+# category, tau or phi label is its own test below.
+_LABEL_VALUES = {
+    "category": [None, *(member.value for member in HazardCategory)],
+    "tau": [None, *(member.value for member in TimeSensitivity)],
+    "phi": [None, *(member.value for member in Feasibility)],
+}
+_FIELD_VALUES = {
+    "tick": [0, 5, -3, 10**30, True, 1.0, 1.7, "0", None],
+    "obs_id": ["a:0", "", 5, None, ["a"]],
+    "d": [None, *K_VALUES, 3, [], "low"],
+    "rho": [0.0, -0.0, 4.999, 5.0, 7.999, 8.0, 10.0, 0, 5, 8, 10, 11, -1, 10.0001,
+            -0.1, 1e300, 10**30, _NAN, _INF, -_INF, True, "nine", None, [5.0]],
+    "k": [None, *K_VALUES, "Urgent", 2, [], {}],
+    "gamma": [0.0, -0.0, 5.0, 9.0, 5, _NAN, _INF, True, "5.0", None, [1.0]],
+    "chi": [None, *CHI_VALUES, "Alert", 1, []],
+    "alarm": [True, False, 0, 1, "yes", None],
+    "recipients": [
+        *RECIPIENT_SETS, [], ["remote", "nearby"], ["nearby", "nearby"],
+        ["nearby", "remote", "remote"], ("nearby",), ("nearby", "remote"),
+        ["nearby", "bogus"], ["coordination"], "nearby", None, [1], [None], {"nearby": 1},
+    ],
+    "t_total": [0, 120, 370, True, 12.0, "120", None],
+    "fallback": [True, False, 0, 1, "no", None],
+    "text": ["Careful.", "", None, 5, ["t"]],
+    **_LABEL_VALUES,
+}
+_BANDS = [(5.0, "Low"), (8.0, "Medium"), (_INF, "High")]
+
+
+def _coherent(record, rho):
+    """The record re-scored to ``rho``, every policy field following it."""
+    band = next((name for limit, name in _BANDS if rho < limit), "High")
+    grade = K_VALUES.index(band)
+    return {**record, "rho": rho, "gamma": rho, "k": band, "chi": CHI_VALUES[grade],
+            "alarm": band != "Low", "recipients": list(RECIPIENT_SETS[grade])}
+
+
+def _mutated(record, rng):
+    """One corrupted copy of ``record``: one to four fields changed,
+    re-scored coherently, a key dropped, or the whole record replaced."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.choice(["nope", 5, None, [], ("tick",)])
+    tampered = dict(record)
+    if roll < 0.10:
+        del tampered[rng.choice(list(tampered))]
+    elif roll < 0.20:
+        tampered = _coherent(tampered, rng.choice([0, 4, 5, 7.5, 8, 10, -0.0, 4.999, 9.5]))
+        if rng.random() < 0.5:
+            tampered["d"] = rng.choice([None, tampered["k"]])
+    else:
+        for field in rng.sample(list(_FIELD_VALUES), rng.choice([1, 1, 1, 2, 3, 4])):
+            pool = _FIELD_VALUES[field] if rng.random() < 0.8 else _ODD_VALUES
+            if field in _LABEL_VALUES:
+                pool = _LABEL_VALUES[field]
+            tampered[field] = rng.choice(pool)
+    roll = rng.random()
+    if roll < 0.05:
+        return MappingProxyType(tampered)
+    if roll < 0.10:
+        return _ReadOnlyRecord(tampered)
+    return tampered
+
+
+def _verdict_lines(base, seed, cases):
+    """One line per violation, or per raised message, over ``cases`` traces."""
+    rng = random.Random(seed)
+    lines = []
+    for case in range(cases):
+        trace = [dict(r) for r in rng.sample(base, rng.choice([1, 2, 3]))]
+        for position in rng.sample(range(len(trace)), rng.choice([1, 1, len(trace)])):
+            trace[position] = _mutated(trace[position], rng)
+        try:
+            outcome = [str(v) for v in oracle_verify(trace)]
+        except ValidationError as exc:
+            outcome = [f"raised: {exc}"]
+        lines.append(f"case {case}: {len(outcome)}")
+        lines.extend(outcome)
+    return lines
+
+
+class TestVerdictCorpus:
+    # SHA-256 of the verdict lines of the seeded corpus, recorded with the
+    # rule-by-rule checker alone; the fast path for compliant records must
+    # not move a single violation, message or raised error.
+    DIGEST = "75877f154d8258e6433142989e7e0663706d2778a8eeee38d0a3dc651be7c065"
+
+    def test_corpus_verdicts_match_recorded_digest(self):
+        lines = _verdict_lines(clean_records(), seed=2026, cases=3000)
+        assert sum(line.startswith("raised:") for line in lines) > 100
+        assert sum(line.startswith("record ") for line in lines) > 3000
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
+
+
+_CLEAN = tuple(clean_records())
+_LABELS = [label for pool in _LABEL_VALUES.values() for label in pool]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats()
+    | st.sampled_from([*K_VALUES, *CHI_VALUES, *_LABELS, "nearby", "remote", "NotALabel"])
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _mutated_records(draw):
+    """A clean record with some fields re-scored, replaced or dropped."""
+    record = dict(draw(st.sampled_from(_CLEAN)))
+    if draw(st.booleans()):
+        record = _coherent(record, draw(st.floats(0.0, 10.0) | st.integers(-1, 11) | st.floats()))
+    for field in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=4, unique=True)):
+        record[field] = draw(st.sampled_from(_FIELD_VALUES[field]) | _JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        del record[draw(st.sampled_from(sorted(record)))]
+    return record
+
+
+def _outcome(check):
+    try:
+        return [str(v) for v in check()]
+    except ValidationError as exc:
+        return f"raised: {exc}"
+
+
+class TestCompliantConjunction:
+    def test_accepts_every_engine_record(self):
+        assert all(map(_compliant, _CLEAN))
+        assert not _compliant(MappingProxyType(_CLEAN[0]))
+
+    @settings(max_examples=600, deadline=None)
+    @given(_mutated_records())
+    def test_accepts_only_what_the_rules_pass(self, record):
+        by_rules = _outcome(lambda: _check_record(0, record))
+        if _compliant(record):
+            assert by_rules == []
+        assert _outcome(lambda: oracle_verify([record])) == by_rules
