@@ -29,6 +29,30 @@ class ConfigurationError(Exception):
 
 E = TypeVar("E", bound=Enum)
 
+#: The fields of a JSON document: key -> (its JSON types, how messages name
+#: them, whether the key is required).
+FieldTable = Mapping[str, tuple[tuple[type, ...], str, bool]]
+
+
+def check_fields(doc: object, fields: FieldTable, what: str,
+                 error: Type[Exception] = ValidationError) -> dict:
+    """``doc`` itself if it is a JSON object with the keys and the exact JSON
+    types of ``fields``; otherwise raise ``error`` saying what is wrong."""
+    if type(doc) is not dict:
+        raise error(f"{what} must be a JSON object")
+    required = [key for key, (_, _, needed) in fields.items() if needed]
+    missing = [key for key in required if key not in doc]
+    unknown = [key for key in doc if key not in fields]
+    if missing or unknown:
+        optional = [key for key in fields if key not in required]
+        also = f" and optionally {optional}" if optional else ""
+        raise error(f"{what} must have exactly the fields {required}{also}; "
+                    f"missing={missing} unknown={unknown}")
+    for key, (types, name, _) in fields.items():
+        if key in doc and type(doc[key]) not in types:
+            raise error(f"{key!r} must be {name}, got {doc[key]!r}")
+    return doc
+
 
 @cache
 def members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:

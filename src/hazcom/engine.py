@@ -28,6 +28,7 @@ from .core import (
     Criticality,
     Feasibility,
     HazardCategory,
+    Label,
     RECIPIENTS_IN_ORDER,
     REPRESENTATIVE_RISK,
     RiskScore,
@@ -146,35 +147,26 @@ class TraceRecord(NamedTuple):
     @classmethod
     def from_wire(cls, doc: dict, where: str = "record") -> "TraceRecord":
         # A well-formed line decodes with subscripts alone: each scalar's type
-        # is checked against _WIRE_SCALAR_TYPES and each label is looked up in
-        # its enum's label dict.  Anything else, including an absent optional
-        # key, takes the checked path, which gives the record or the message.
+        # is checked against its row of TRACE_FIELDS and each label is looked
+        # up in its field's label dict.  Anything else, including an absent
+        # optional key, takes the checked path, which gives the record or the
+        # message.
         if type(doc) is dict:
             try:
-                for key, types, _ in _WIRE_SCALAR_TYPES:
-                    if type(doc[key]) not in types:
+                values = []
+                append = values.append
+                for key, labels, types, as_float in _FAST_FIELDS:
+                    value = doc[key]
+                    if not types:
+                        append(labels[value])
+                    elif type(value) not in types:
                         break
+                    elif labels is not None:
+                        append(tuple(map(labels.__getitem__, value)))
+                    else:
+                        append(float(value) if as_float and type(value) is int else value)
                 else:
-                    recipients, text = doc["recipients"], doc["text"]
-                    if type(recipients) is list and (text is None or type(text) is str):
-                        rho, gamma = doc["rho"], doc["gamma"]
-                        return cls(
-                            doc["tick"],
-                            doc["obs_id"],
-                            _CATEGORIES[doc["category"]],
-                            _CRITICALITIES[doc["d"]],
-                            _TIME_SENSITIVITIES[doc["tau"]],
-                            _FEASIBILITIES[doc["phi"]],
-                            float(rho) if type(rho) is int else rho,
-                            _CRITICALITIES[doc["k"]],
-                            float(gamma) if type(gamma) is int else gamma,
-                            _CHARACTERS[doc["chi"]],
-                            doc["alarm"],
-                            tuple(map(_CHANNELS.__getitem__, recipients)),
-                            doc["t_total"],
-                            doc["fallback"],
-                            text,
-                        )
+                    return cls._make(values)
             except (KeyError, TypeError, OverflowError):
                 pass
         return cls._from_wire_checked(doc, where)
@@ -186,60 +178,75 @@ class TraceRecord(NamedTuple):
         if not _REQUIRED_WIRE_KEYS <= doc.keys():
             missing = sorted(_REQUIRED_WIRE_KEYS - doc.keys())
             raise ValidationError(f"{where}: missing fields {missing}")
-        recipients = doc["recipients"]
-        if not isinstance(recipients, list):
-            raise ValidationError(f"{where}: 'recipients' must be a list")
-        text = doc.get("text")
-        if not isinstance(text, (str, type(None))):
-            raise ValidationError(f"{where}: 'text' must be a string or null")
-        get, label = doc.get, enum_from_label
+        values = []
         try:
-            record = cls(
-                int(doc["tick"]),
-                doc["obs_id"],
-                None if (v := get("category")) is None else label(HazardCategory, v, where),
-                None if (v := get("d")) is None else label(Criticality, v, where),
-                None if (v := get("tau")) is None else label(TimeSensitivity, v, where),
-                None if (v := get("phi")) is None else label(Feasibility, v, where),
-                None if (v := doc["rho"]) is None else float(v),
-                None if (v := doc["k"]) is None else label(Criticality, v, where),
-                None if (v := doc["gamma"]) is None else float(v),
-                None if (v := doc["chi"]) is None else label(Character, v, where),
-                doc["alarm"],
-                tuple(label(Channel, c, where) for c in recipients),
-                int(doc["t_total"]),
-                doc["fallback"],
-                text,
-            )
+            for key, enum, types, what, _ in TRACE_FIELDS:
+                value = doc.get(key)
+                if not types:
+                    value = None if value is None else enum_from_label(enum, value, where)
+                elif type(value) not in types:
+                    # int() and float() name a value that is no number at
+                    # all; a look-alike they accept, such as 1.7, "120" or
+                    # true, gets the type message.
+                    if int in types:
+                        (float if float in types else int)(value)
+                    raise ValidationError(f"{key!r} must be {what}, got {value!r}")
+                elif enum is not None:
+                    value = tuple(enum_from_label(enum, item, where) for item in value)
+                elif float in types and type(value) is int:
+                    value = float(value)
+                values.append(value)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-        # int() and float() above also accept look-alikes such as 1.7, "120"
-        # and true, and obs_id, alarm and fallback are taken as read, so each
-        # scalar must already have its wire type.
-        for key, types, what in _WIRE_SCALAR_TYPES:
-            if type(doc[key]) not in types:
-                raise ValidationError(f"{where}: {key!r} must be {what}, got {doc[key]!r}")
-        return record
+        return cls._make(values)
 
 
-_REQUIRED_WIRE_KEYS = frozenset({"tick", "obs_id", "rho", "k", "gamma", "chi", "alarm",
-                                 "recipients", "t_total", "fallback"})
-_WIRE_SCALAR_TYPES = (
-    ("tick", (int,), "an integer"),
-    ("obs_id", (str,), "a string"),
-    ("rho", (float, int, type(None)), "a number or null"),
-    ("gamma", (float, int, type(None)), "a number or null"),
-    ("alarm", (bool,), "true or false"),
-    ("t_total", (int,), "an integer"),
-    ("fallback", (bool,), "true or false"),
+class WireField(NamedTuple):
+    """One key of a trace line and what its value must be."""
+
+    key: str
+    #: The enum of a label field, or of each item of a list of labels.
+    enum: type[Label] | None
+    #: The JSON types the value may have, and how messages name them; a
+    #: label field, which holds a label or null, has none.
+    types: tuple[type, ...] = ()
+    what: str = ""
+    required: bool = True
+
+
+_NUMBER = (float, int, type(None))
+#: The trace line, one row per key in :class:`TraceRecord` field order: the
+#: one statement of the schema, from which the reader and the oracle's shape
+#: checks derive theirs.
+TRACE_FIELDS = (
+    WireField("tick", None, (int,), "an integer"),
+    WireField("obs_id", None, (str,), "a string"),
+    WireField("category", HazardCategory, required=False),
+    WireField("d", Criticality),
+    WireField("tau", TimeSensitivity),
+    WireField("phi", Feasibility),
+    WireField("rho", None, _NUMBER, "a number or null"),
+    WireField("k", Criticality),
+    WireField("gamma", None, _NUMBER, "a number or null"),
+    WireField("chi", Character),
+    WireField("alarm", None, (bool,), "true or false"),
+    WireField("recipients", Channel, (list,), "a list"),
+    WireField("t_total", None, (int,), "an integer"),
+    WireField("fallback", None, (bool,), "true or false"),
+    WireField("text", None, (str, type(None)), "a string or null", required=False),
 )
-# Label dicts of the trace's label fields; null maps to None.
-_CATEGORIES = {**members_by_label(HazardCategory), None: None}
-_CRITICALITIES = {**members_by_label(Criticality), None: None}
-_TIME_SENSITIVITIES = {**members_by_label(TimeSensitivity), None: None}
-_FEASIBILITIES = {**members_by_label(Feasibility), None: None}
-_CHARACTERS = {**members_by_label(Character), None: None}
-_CHANNELS = members_by_label(Channel)
+_REQUIRED_WIRE_KEYS = frozenset(f.key for f in TRACE_FIELDS if f.required)
+#: Each label field's label dict, null mapping to None; a list of labels
+#: holds no null.
+_LABELS = {
+    f.key: members_by_label(f.enum) if f.types else {**members_by_label(f.enum), None: None}
+    for f in TRACE_FIELDS if f.enum is not None
+}
+# The fast path's view of each row: key, label dict, JSON types, and whether
+# an integer is read as a float.
+_FAST_FIELDS = tuple(
+    (f.key, _LABELS.get(f.key), f.types, float in f.types) for f in TRACE_FIELDS
+)
 
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 _JSON_DECODER = json.JSONDecoder()
@@ -429,9 +436,6 @@ class Engine:
         self.last_known_criticality: Criticality | None = None
         self.queue = PendingQueue()
         self._step_index = 0
-
-    def enqueue(self, output: CommOutput) -> None:
-        self.queue.push(output)
 
     def dequeue(self) -> Optional[CommOutput]:
         return self.queue.pop()

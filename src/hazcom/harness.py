@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -30,6 +30,7 @@ from .core import (
     LocationType,
     TimeSensitivity,
     ValidationError,
+    check_fields,
     enum_from_label,
     location_phrase,
 )
@@ -499,27 +500,21 @@ def _truth_to_dict(truth: Optional[StepTruth]) -> Optional[dict]:
     return doc
 
 
+# The truth document's field table (see :data:`hazcom.core.FieldTable`).
+_TRUTH_FIELDS = {
+    **dict.fromkeys(("category", "d", "tau", "phi", "k"), ((str,), "a string", True)),
+    "rho": ((float, int, type(None)), "a number or null", False),
+}
+
+
 def _truth_from_dict(doc: Optional[dict], where: str) -> Optional[StepTruth]:
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where}: truth must be an object or null")
-    required = {"category", "d", "tau", "phi", "k"}
-    missing = required - doc.keys()
-    unknown = doc.keys() - (required | {"rho"})
-    if missing or unknown:
-        raise ConfigurationError(
-            f"{where}: truth fields missing={sorted(missing)} unknown={sorted(unknown)}"
-        )
-    rho = doc.get("rho")
-    if rho is not None:
-        if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-            raise ConfigurationError(f"{where}: 'rho' must be a number")
-        if not (0.0 <= rho <= 10.0):
-            raise ConfigurationError(
-                f"{where}: 'rho' {rho} outside the valid range [0, 10]"
-            )
     try:
+        check_fields(doc, _TRUTH_FIELDS, "truth")
+        rho = doc.get("rho")
+        if rho is not None and not 0.0 <= rho <= 10.0:
+            raise ValidationError(f"'rho' {rho} outside the valid range [0, 10]")
         category = enum_from_label(HazardCategory, doc["category"], where)
         level = enum_from_label(Criticality, doc["d"], where)
         tau = enum_from_label(TimeSensitivity, doc["tau"], where)
@@ -544,34 +539,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ],
     }
     if scenario.fault_profile is not None:
-        doc["fault_profile"] = {
-            "added_delay": scenario.fault_profile.added_delay,
-            "failure_rate": scenario.fault_profile.failure_rate,
-            "seed": scenario.fault_profile.seed,
-        }
+        doc["fault_profile"] = asdict(scenario.fault_profile)
     return doc
 
 
-#: JSON types of the fault-profile fields of a scenario file; an omitted
-#: field takes the :class:`FaultProfile` default.
-_FAULT_PROFILE_TYPES = {
-    "added_delay": ((int,), "an integer"),
-    "failure_rate": ((float, int), "a number"),
-    "seed": ((int,), "an integer"),
+#: The fault-profile field table of a scenario file; an omitted field takes
+#: the :class:`FaultProfile` default.
+_FAULT_PROFILE_FIELDS = {
+    "added_delay": ((int,), "an integer", False),
+    "failure_rate": ((float, int), "a number", False),
+    "seed": ((int,), "an integer", False),
 }
-
-
-def _fault_profile_from_dict(doc: object) -> FaultProfile:
-    if not isinstance(doc, dict):
-        raise ValidationError("must be an object")
-    unknown = doc.keys() - _FAULT_PROFILE_TYPES.keys()
-    if unknown:
-        raise ValidationError(f"unknown fields {sorted(unknown)}")
-    for key, value in doc.items():
-        types, what = _FAULT_PROFILE_TYPES[key]
-        if type(value) not in types:
-            raise ValidationError(f"{key!r} must be {what}, got {value!r}")
-    return FaultProfile(**doc)
 
 
 def scenario_from_dict(doc: dict, where: str) -> Scenario:
@@ -583,7 +561,8 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
     profile = None
     if doc.get("fault_profile") is not None:
         try:
-            profile = _fault_profile_from_dict(doc["fault_profile"])
+            profile = FaultProfile(**check_fields(
+                doc["fault_profile"], _FAULT_PROFILE_FIELDS, "fault profile"))
         except ValidationError as exc:
             raise ConfigurationError(
                 f"{where} ({scenario_id}): invalid fault profile: {exc}"

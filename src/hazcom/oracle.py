@@ -4,9 +4,10 @@ Re-derives every policy output (band, tone, character, alarm, recipients)
 from the recorded risk score alone, using literal thresholds and tables --
 deliberately not the implementation in :mod:`hazcom.core` -- and reports
 every mismatch.  Works on raw wire-level dicts so serialization bugs are
-caught too: the JSON type of each scalar is checked against the trace
-format's own table, the one :func:`hazcom.engine.read_trace` applies, and
-each label the reader decodes is checked against the reader's label dicts.
+caught too: the required keys and the JSON type of each scalar come from
+the trace format's own table, ``TRACE_FIELDS``, the one
+:func:`hazcom.engine.read_trace` applies, and each label the reader decodes
+is checked against the reader's label dicts.
 
 A compliant record is recognised by one conjunction over these tables;
 only a record it does not accept goes through the rule-by-rule checks,
@@ -19,7 +20,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .core import ValidationError
-from .engine import _CATEGORIES, _FEASIBILITIES, _TIME_SENSITIVITIES, _WIRE_SCALAR_TYPES
+from .engine import _LABELS, _REQUIRED_WIRE_KEYS, TRACE_FIELDS
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,13 @@ class Violation:
         return f"record {self.record_index}: [{self.rule}] {self.field}: {self.detail}"
 
 
-_REQUIRED_KEYS = (
-    "tick", "obs_id", "d", "tau", "phi", "rho", "k", "gamma", "chi",
-    "alarm", "recipients", "t_total", "fallback",
+# The required keys in table order, the order missing-field messages use.
+_REQUIRED_KEYS = tuple(f.key for f in TRACE_FIELDS if f.required)
+# The wire-type rule's scalars, each with its JSON types and how messages
+# name them: the required ones (the optional text is the message rule's).
+_WIRE_SCALAR_TYPES = tuple(
+    (f.key, f.types, f.what) for f in TRACE_FIELDS if f.enum is None and f.required
 )
-_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
 
 _POLICY_FIELDS_WHEN_ABSENT = ("category", "d", "tau", "phi", "rho", "gamma", "chi")
 
@@ -54,11 +57,11 @@ _CHARACTER_TABLE = {"Low": "inquiry", "Medium": "alert", "High": "urgent"}
 
 # Label fields with no rule of their own, each with the label dict the trace
 # reader decodes it by (null included) and the name its messages give.
-_LABEL_FIELDS = (
-    ("category", _CATEGORIES, "HazardCategory"),
-    ("tau", _TIME_SENSITIVITIES, "TimeSensitivity"),
-    ("phi", _FEASIBILITIES, "Feasibility"),
+_LABEL_FIELDS = tuple(
+    (f.key, _LABELS[f.key], f.enum.__name__)
+    for f in TRACE_FIELDS if f.key in ("category", "tau", "phi")
 )
+_CATEGORIES, _TIME_SENSITIVITIES, _FEASIBILITIES = (labels for _, labels, _ in _LABEL_FIELDS)
 
 
 def _expected_band(rho: float) -> str:
@@ -131,7 +134,7 @@ def _check_record(index: int, record: object) -> list[Violation]:
     # the abstract Mapping test.
     if not isinstance(record, dict) and not isinstance(record, Mapping):
         raise _malformed(index, "not an object")
-    if not _REQUIRED_KEY_SET <= record.keys():
+    if not _REQUIRED_WIRE_KEYS <= record.keys():
         missing = [key for key in _REQUIRED_KEYS if key not in record]
         raise _malformed(index, f"missing fields {missing}")
     recipients = record["recipients"]

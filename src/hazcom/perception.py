@@ -45,6 +45,7 @@ from .core import (
     ValidationError,
     ConfigurationError,
     band_risk,
+    check_fields,
     enum_from_label,
 )
 
@@ -515,10 +516,26 @@ class LocationBaselineBackend:
 # --------------------------------------------------------------------------
 # Remote backend: JSON wire format and deadline-bounded transport
 
-_REQUEST_FIELDS = ("timestamp", "caption", "entities", "env")
-_ENTITY_FIELDS = ("object_label", "attribute")
-_ENV_FIELDS = ("location_type", "crowd_density", "vulnerable_present")
-_RESPONSE_FIELDS = ("category", "d", "tau", "phi", "rho", "rationale")
+# The wire documents' field tables (see :data:`hazcom.core.FieldTable`).
+_STRING = ((str,), "a string", True)
+_REQUEST_FIELDS = {
+    "timestamp": ((int,), "an integer", True),
+    "caption": _STRING,
+    "entities": ((list,), "a list", True),
+    "env": ((dict,), "an object", True),
+}
+_ENTITY_FIELDS = {"object_label": _STRING, "attribute": _STRING}
+_ENV_FIELDS = {
+    "location_type": _STRING,
+    "crowd_density": _STRING,
+    "vulnerable_present": ((bool,), "true or false", True),
+}
+_RESPONSE_FIELDS = {
+    **dict.fromkeys(("category", "d", "tau", "phi"), _STRING),
+    "rho": ((float, int), "a number", True),
+    "rationale": _STRING,
+}
+_NO_HAZARD_FIELDS = {"no_hazard": ((bool,), "true", True)}
 
 
 def encode_observation(obs: Observation) -> dict:
@@ -538,16 +555,6 @@ def encode_observation(obs: Observation) -> dict:
     }
 
 
-def _require_exact_fields(doc: dict, fields: tuple[str, ...], what: str) -> None:
-    missing = [f for f in fields if f not in doc]
-    unknown = [f for f in doc if f not in fields]
-    if missing or unknown:
-        raise BackendResponseError(
-            f"{what} must have exactly the fields {list(fields)}; "
-            f"missing={missing} unknown={unknown}"
-        )
-
-
 def decode_observation(doc: dict) -> Observation:
     """Request document -> Observation: the exact inverse of
     :func:`encode_observation`.
@@ -556,30 +563,10 @@ def decode_observation(doc: dict) -> Observation:
     timestamp, a boolean ``vulnerable_present``); unknown fields are
     rejected.  Any other input raises :class:`BackendResponseError`.
     """
-    if not isinstance(doc, dict):
-        raise BackendResponseError("request must be a JSON object")
-    _require_exact_fields(doc, _REQUEST_FIELDS, "request")
-    if not isinstance(doc["entities"], list):
-        raise BackendResponseError("'entities' must be a list")
+    check_fields(doc, _REQUEST_FIELDS, "request", BackendResponseError)
     for item in doc["entities"]:
-        if not isinstance(item, dict):
-            raise BackendResponseError("each entity must be an object")
-        _require_exact_fields(item, _ENTITY_FIELDS, "entity")
-    env_doc = doc["env"]
-    if not isinstance(env_doc, dict):
-        raise BackendResponseError("'env' must be an object")
-    _require_exact_fields(env_doc, _ENV_FIELDS, "env")
-    if not isinstance(doc["caption"], str):
-        raise BackendResponseError("'caption' must be a string")
-    if type(doc["timestamp"]) is not int:
-        raise BackendResponseError(
-            f"'timestamp' must be an integer, got {doc['timestamp']!r}"
-        )
-    if type(env_doc["vulnerable_present"]) is not bool:
-        raise BackendResponseError(
-            f"'vulnerable_present' must be true or false, "
-            f"got {env_doc['vulnerable_present']!r}"
-        )
+        check_fields(item, _ENTITY_FIELDS, "entity", BackendResponseError)
+    env_doc = check_fields(doc["env"], _ENV_FIELDS, "env", BackendResponseError)
     try:
         entities = [Entity(e["object_label"], e["attribute"]) for e in doc["entities"]]
         env = EnvContext(
@@ -618,19 +605,12 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
     fields; anything else (unknown fields, out-of-range score, band/level
     incoherence) is rejected.
     """
-    if not isinstance(doc, dict):
-        raise BackendResponseError("response must be a JSON object")
-    if "no_hazard" in doc:
-        if list(doc.keys()) != ["no_hazard"] or doc["no_hazard"] is not True:
-            raise BackendResponseError(
-                "a no-hazard response must be exactly {'no_hazard': true}"
-            )
+    if type(doc) is dict and "no_hazard" in doc:
+        check_fields(doc, _NO_HAZARD_FIELDS, "no-hazard response", BackendResponseError)
+        if doc["no_hazard"] is not True:
+            raise BackendResponseError(f"'no_hazard' must be true, got {doc['no_hazard']!r}")
         return None
-    _require_exact_fields(doc, _RESPONSE_FIELDS, "response")
-    if not isinstance(doc["rho"], (int, float)) or isinstance(doc["rho"], bool):
-        raise BackendResponseError(f"'rho' must be a number, got {doc['rho']!r}")
-    if not isinstance(doc["rationale"], str):
-        raise BackendResponseError("'rationale' must be a string")
+    check_fields(doc, _RESPONSE_FIELDS, "response", BackendResponseError)
     try:
         return HazardAssessment(
             category=enum_from_label(HazardCategory, doc["category"]),

@@ -250,8 +250,9 @@ class TestScenarioFiles:
          "scenario 7 (S8-degraded-backend): invalid fault profile: "
          "'seed' must be an integer, got True"),
         (7, {"fault_profile": {"delay": 250}},
-         "scenario 7 (S8-degraded-backend): invalid fault profile: "
-         "unknown fields ['delay']"),
+         "scenario 7 (S8-degraded-backend): invalid fault profile: fault profile must have "
+         "exactly the fields [] and optionally ['added_delay', 'failure_rate', 'seed']; "
+         "missing=[] unknown=['delay']"),
     ], ids=["id-number", "delay-float", "rate-string", "seed-bool", "unknown-key"])
     def test_scenario_fields_are_not_coerced(self, tmp_path, index, change, message):
         path = tmp_path / "suite.json"

@@ -115,7 +115,7 @@ class TestWireFormat:
     def test_non_string_entity_label_rejected(self, s1_obs):
         doc = encode_observation(s1_obs)
         doc["entities"][0]["object_label"] = 5
-        with pytest.raises(BackendResponseError, match="strings"):
+        with pytest.raises(BackendResponseError, match="'object_label' must be a string, got 5"):
             decode_observation(doc)
 
     def test_non_string_caption_rejected(self, s1_obs):

@@ -1,5 +1,6 @@
-"""The trace codec: the writer's bytes are the encoder's, and the decoder's
-fast path agrees with its checked path on every document."""
+"""The trace codec: the writer's bytes are the encoder's, the decoder's fast
+path agrees with its checked path on every document, and the writer, the
+reader and the oracle follow the one field table."""
 
 import json
 
@@ -17,10 +18,11 @@ from hazcom import (
     TimeSensitivity,
     TraceRecord,
     ValidationError,
+    oracle_verify,
     read_trace,
     write_trace,
 )
-from hazcom.engine import _line_fragments
+from hazcom.engine import _PER_STEP_FIELDS, TRACE_FIELDS, _line_fragments, read_json_lines
 
 
 def _labels(enum_cls):
@@ -213,3 +215,50 @@ class TestStrictWhitespace:
         line = path.read_text(encoding="utf-8").rstrip("\n")
         path.write_text(f" \t{line}\t \r\n\n \t\n", encoding="utf-8")
         assert read_trace(path) == [record]
+
+
+_TABLE_KEYS = [field.key for field in TRACE_FIELDS]
+
+
+def _verdicts(path):
+    """Whether ``read_trace`` and ``oracle_verify`` (as ``hazcom verify``
+    reads the file) each accept the trace at ``path``; a violation is no
+    rejection, only a raised error is."""
+    accepted = []
+    for decode in (read_trace, lambda p: oracle_verify([doc for _, doc in read_json_lines(p)])):
+        try:
+            decode(path)
+        except ValidationError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    return accepted
+
+
+class TestOneFieldTable:
+    @pytest.mark.parametrize("dropped", [
+        *[(key,) for key in _TABLE_KEYS], ("d", "tau", "phi"),
+    ], ids=lambda keys: "+".join(keys))
+    @pytest.mark.parametrize("hazard", [True, False], ids=["hazard", "no-hazard"])
+    def test_reader_and_oracle_accept_the_same_key_sets(
+        self, tmp_path, s1_obs, empty_obs, scripted, hazard, dropped
+    ):
+        record = Engine().step(s1_obs if hazard else empty_obs, scripted).record
+        doc = {k: v for k, v in record.to_wire().items() if k not in dropped}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        required = any(f.required for f in TRACE_FIELDS if f.key in dropped)
+        assert _verdicts(path) == [not required, not required]
+
+    def test_only_category_and_text_are_optional(self):
+        assert [f.key for f in TRACE_FIELDS if not f.required] == ["category", "text"]
+
+    def test_to_wire_emits_the_table_keys_in_table_order(self, s1_obs, empty_obs, scripted):
+        engine = Engine()
+        for obs in (s1_obs, empty_obs):
+            assert list(engine.step(obs, scripted).record.to_wire()) == _TABLE_KEYS
+
+    def test_per_step_fields_are_table_keys_in_sorted_order(self):
+        keys = [key for key, _ in _PER_STEP_FIELDS]
+        assert set(keys) <= set(_TABLE_KEYS)
+        assert keys == sorted(keys)
