@@ -39,8 +39,6 @@ from .dispatch import (
     NetworkSink,
     dispatch,
     memory_registry,
-    memory_sink,
-    network_sink,
 )
 from .engine import (
     Engine,
@@ -83,6 +81,7 @@ from .perception import (
     BackendTimeout,
     BackendTransportError,
     Entity,
+    FaultInjectingBackend,
     FaultProfile,
     HazardAssessment,
     InjectedFault,
@@ -97,7 +96,6 @@ from .perception import (
     builtin_rule_table,
     remote_assess,
     scripted_assess,
-    with_fault_injection,
 )
 
 __version__ = "0.1.0"

@@ -112,10 +112,11 @@ def _load_suite(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        t_max=seconds_to_ticks(args.t_max),
-        fatigue_lambda=args.fatigue_lambda,
-    )
+    try:
+        t_max = seconds_to_ticks(args.t_max)
+    except (OverflowError, ValueError) as exc:  # inf or NaN seconds
+        raise ConfigurationError(f"--t-max must be a finite number, got {args.t_max}") from exc
+    return EngineConfig(t_max=t_max, fatigue_lambda=args.fatigue_lambda)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -144,10 +145,10 @@ def _write_traces(report: SuiteReport, trace_dir: str) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenarios = _load_suite(args)
+    config = _build_config(args)
     specs = args.backends or ["scripted"]
-    timeout_ticks = seconds_to_ticks(args.t_max)
-    backends = {spec: make_backend(spec, timeout_ticks) for spec in specs}
-    report = run_suite(scenarios, backends, _build_config(args))
+    backends = {spec: make_backend(spec, config.t_max) for spec in specs}
+    report = run_suite(scenarios, backends, config)
     _emit(_render_report(report, args.format), args.report)
     if args.trace:
         _write_traces(report, args.trace)

@@ -7,9 +7,9 @@ output being delivered.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol, Union
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 from . import _http
 from .clock import ticks_to_seconds
@@ -48,24 +48,18 @@ def comm_output_wire(output: CommOutput, tick: int) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemorySink:
-    """In-memory sink: records every delivery, always succeeds."""
+    """In-memory sink: always succeeds and keeps nothing, so one sink can
+    serve any number of runs."""
 
     channel: Channel
-    log: list[DeliveryRecord] = field(default_factory=list)
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
         message = output.message
-        record = DeliveryRecord(
+        return DeliveryRecord(
             self.channel, tick, True, f"{message.character._value_}: {message.text}"
         )
-        self.log.append(record)
-        return record
-
-
-def memory_sink(channel: Channel) -> MemorySink:
-    return MemorySink(channel=channel)
 
 
 @dataclass
@@ -96,22 +90,7 @@ class NetworkSink:
         return DeliveryRecord(self.channel, tick, True, f"posted to {self.endpoint}")
 
 
-def network_sink(channel: Channel, endpoint: str, timeout_ticks: int = 50) -> NetworkSink:
-    return NetworkSink(channel=channel, endpoint=endpoint, timeout_ticks=timeout_ticks)
-
-
 SinkRegistry = Mapping[Channel, ChannelSink]
-
-
-def build_registry(sinks: Iterable[ChannelSink]) -> dict[Channel, ChannelSink]:
-    registry: dict[Channel, ChannelSink] = {}
-    for sink in sinks:
-        if sink.channel in registry:
-            raise ConfigurationError(
-                f"duplicate sink for channel {sink.channel.value}"
-            )
-        registry[sink.channel] = sink
-    return registry
 
 
 def memory_registry() -> dict[Channel, MemorySink]:
@@ -119,30 +98,22 @@ def memory_registry() -> dict[Channel, MemorySink]:
     return {channel: MemorySink(channel) for channel in CHANNEL_ORDER}
 
 
-def dispatch(
-    output: CommOutput,
-    sinks: Union[SinkRegistry, Iterable[ChannelSink]],
-    tick: int,
-) -> list[DeliveryRecord]:
+def dispatch(output: CommOutput, sinks: SinkRegistry, tick: int) -> list[DeliveryRecord]:
     """Deliver to exactly the output's recipient channels, in channel order.
 
-    A sink must exist for every required channel before any delivery is
-    attempted; channels outside the recipient set are never invoked.
+    ``sinks`` maps each channel to its sink.  A sink must exist for every
+    required channel before any delivery is attempted; channels outside the
+    recipient set are never invoked.
     """
-    # A plain dict is tested by type first: the abstract Mapping test costs
-    # several times as much, and every step's outputs are dispatched.
-    registry = (
-        sinks if type(sinks) is dict or isinstance(sinks, Mapping) else build_registry(sinks)
-    )
-    if not registry.keys() >= output.recipients:
+    if not sinks.keys() >= output.recipients:
         missing = [
-            ch.value for ch in RECIPIENTS_IN_ORDER[output.criticality] if ch not in registry
+            ch.value for ch in RECIPIENTS_IN_ORDER[output.criticality] if ch not in sinks
         ]
         raise ConfigurationError(f"no sink registered for channels: {missing}")
 
     records: list[DeliveryRecord] = []
     for channel in RECIPIENTS_IN_ORDER[output.criticality]:
-        sink = registry[channel]
+        sink = sinks[channel]
         try:
             record = sink.deliver(output, tick)
         except Exception as exc:  # sink bugs must not block other channels

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -88,16 +89,19 @@ class EngineConfig:
     suppression_window: int = 50
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0:
-            raise ValidationError(f"t_max must be positive, got {self.t_max}")
-        if self.fatigue_lambda <= 0:
+        # NaN fails every comparison, and ``< math.inf`` rejects infinity.
+        if not 0 < self.t_max < math.inf:
+            raise ValidationError(f"t_max must be positive and finite, got {self.t_max}")
+        if not 0 < self.fatigue_lambda < math.inf:
             raise ValidationError(
-                f"fatigue_lambda must be positive, got {self.fatigue_lambda}"
+                f"fatigue_lambda must be positive and finite, got {self.fatigue_lambda}"
             )
-        if self.suppression_window < 0:
-            raise ValidationError("suppression_window must be >= 0")
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights):
-            raise ValidationError("weights must be four non-negative reals")
+        if not 0 <= self.suppression_window < math.inf:
+            raise ValidationError(
+                f"suppression_window must be >= 0 and finite, got {self.suppression_window}"
+            )
+        if len(self.weights) != 4 or not all(0 <= w < math.inf for w in self.weights):
+            raise ValidationError("weights must be four non-negative finite reals")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1, got {sum(self.weights)}")
 
@@ -366,10 +370,6 @@ class PendingQueue:
             return None
         return heapq.heappop(self._heap)[3]
 
-    def snapshot(self) -> list[CommOutput]:
-        """Queue contents in dispatch order, without consuming them."""
-        return [entry[3] for entry in sorted(self._heap)]
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -436,9 +436,6 @@ class Engine:
         self.last_known_criticality: Criticality | None = None
         self.queue = PendingQueue()
         self._step_index = 0
-
-    def dequeue(self) -> Optional[CommOutput]:
-        return self.queue.pop()
 
     def step(
         self,

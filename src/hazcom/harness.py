@@ -52,17 +52,20 @@ from .perception import (
     Backend,
     BackendResponseError,
     Entity,
+    FaultInjectingBackend,
     FaultProfile,
     Observation,
     builtin_rule_table,
     decode_observation,
     encode_observation,
     scripted_assess,
-    with_fault_injection,
 )
 
 SCENARIO_FORMAT = "hazcom-scenarios-v1"
 REPORT_FORMAT = "hazcom-report-v1"
+
+# Memory sinks keep nothing, so every run shares one set.
+_SINKS = memory_registry()
 
 
 @dataclass(frozen=True)
@@ -797,10 +800,9 @@ def run_scenario(
     engine = Engine(config=config, clock=VirtualClock())
     live_backend: Backend = backend
     if scenario.fault_profile is not None:
-        live_backend = with_fault_injection(
+        live_backend = FaultInjectingBackend(
             backend, scenario.fault_profile, engine.clock
         )
-    sinks = memory_registry()
     trace: list[TraceRecord] = []
     deliveries: list[list[DeliveryRecord]] = []
     fallback_steps = 0
@@ -811,7 +813,7 @@ def run_scenario(
         fallback_steps += result.fallback_used
         group: list[DeliveryRecord] = []
         while queue:
-            group.extend(dispatch(queue.pop(), sinks, clock.now))
+            group.extend(dispatch(queue.pop(), _SINKS, clock.now))
         deliveries.append(group)
     return ScenarioRun(
         scenario_id=scenario.scenario_id,

@@ -9,7 +9,7 @@ implementations share that contract:
 * ``LocationBaselineBackend``: fixed criticality by location alone,
 * ``RemoteBackend``: JSON-over-HTTP client with a hard deadline.
 
-``with_fault_injection`` wraps any backend with seeded delays and failures
+``FaultInjectingBackend`` wraps any backend with seeded delays and failures
 for exercising the engine's budget/fallback path.
 
 Rule matches, object identities and the built-in backends' verdicts are
@@ -732,10 +732,3 @@ class FaultInjectingBackend:
                 f"injected failure (rate={self.profile.failure_rate})"
             )
         return self.inner.assess(obs)
-
-
-def with_fault_injection(
-    inner: Backend, profile: FaultProfile, clock: Clock | None = None
-) -> FaultInjectingBackend:
-    """Wrap ``inner`` with the given fault profile."""
-    return FaultInjectingBackend(inner, profile, clock)

@@ -32,7 +32,7 @@ from hazcom import (
     run_suite,
     scripted_assess,
     sixty_run_suite,
-    with_fault_injection,
+    FaultInjectingBackend,
 )
 from hazcom.cli import main
 from hazcom.perception import FaultProfile, builtin_rule_table
@@ -92,11 +92,11 @@ def test_criterion_1_alarm_constraint_universal():
     rng = random.Random(20240)
     engine = Engine()
     backend = ScriptedBackend()
-    flaky = with_fault_injection(
+    flaky = FaultInjectingBackend(
         backend, FaultProfile(added_delay=0, failure_rate=0.05, seed=3),
         engine.clock,
     )
-    slow = with_fault_injection(
+    slow = FaultInjectingBackend(
         backend, FaultProfile(added_delay=250, failure_rate=0.0), engine.clock
     )
     backends = [backend, flaky, slow]
@@ -108,7 +108,7 @@ def test_criterion_1_alarm_constraint_universal():
                 Criticality.MEDIUM, Criticality.HIGH,
             )
             violations += result.output.alarm != expected
-        engine.dequeue()
+        engine.queue.pop()
     elapsed = time.monotonic() - started
     check(
         "criterion 1: alarm == (k in {Medium, High}) on 100% of outputs",

@@ -71,6 +71,19 @@ class TestRun:
     def test_missing_scenario_file_is_config_error(self):
         assert main(["run", "--scenarios", "/nonexistent.json"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),
+        ("--lambda", "nan"), ("--lambda", "inf"),
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, command, flag, value):
+        report = tmp_path / "report.json"
+        code = main([command, flag, value, "--format", "structured", "--report", str(report)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["run", "--seed", "7", "--format", "structured"]

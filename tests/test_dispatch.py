@@ -11,15 +11,15 @@ from hazcom import (
     EnvContext,
     HazardCategory,
     LocationType,
+    MemorySink,
+    NetworkSink,
     RiskScore,
     assemble_output,
     dispatch,
     memory_registry,
-    memory_sink,
-    network_sink,
     recipients_for,
 )
-from hazcom.dispatch import DeliveryRecord, build_registry, comm_output_wire
+from hazcom.dispatch import DeliveryRecord, comm_output_wire
 
 
 def output_for(rho, category=HazardCategory.SHARP_OBJECT):
@@ -32,6 +32,19 @@ class ExplodingSink:
 
     def deliver(self, output, tick):
         raise RuntimeError("boom")
+
+
+class RecordingSink:
+    """Delivers as a memory sink does and keeps every record."""
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.log = []
+
+    def deliver(self, output, tick):
+        record = MemorySink(self.channel).deliver(output, tick)
+        self.log.append(record)
+        return record
 
 
 class TestDispatch:
@@ -53,52 +66,33 @@ class TestDispatch:
             assert {r.channel for r in records} == recipients_for(grade)
 
     def test_missing_sink_fails_before_any_delivery(self):
-        sinks = memory_registry()
+        sinks = {channel: RecordingSink(channel) for channel in Channel}
         del sinks[Channel.COORDINATION]
         with pytest.raises(ConfigurationError, match="coordination"):
             dispatch(output_for(9.0), sinks, tick=0)
         assert sinks[Channel.NEARBY].log == []
+        assert sinks[Channel.REMOTE].log == []
 
     def test_failing_sink_is_isolated(self):
         output = output_for(6.0)
         sinks = {
-            Channel.NEARBY: memory_sink(Channel.NEARBY),
+            Channel.NEARBY: RecordingSink(Channel.NEARBY),
             Channel.REMOTE: ExplodingSink(Channel.REMOTE),
-            Channel.COORDINATION: memory_sink(Channel.COORDINATION),
+            Channel.COORDINATION: RecordingSink(Channel.COORDINATION),
         }
         records = dispatch(output, sinks, tick=3)
         assert [r.success for r in records] == [True, False]
         assert [r.channel for r in records] == [Channel.NEARBY, Channel.REMOTE]
+        assert sinks[Channel.NEARBY].log == records[:1]
         # coordination is outside a Medium recipient set: never invoked
         assert sinks[Channel.COORDINATION].log == []
         # the output itself is untouched by the failure
         assert output.message.text
 
-    def test_duplicate_sink_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            build_registry([memory_sink(Channel.NEARBY), memory_sink(Channel.NEARBY)])
-
-    def test_registry_from_iterable(self):
-        sinks = [memory_sink(channel) for channel in Channel]
-        records = dispatch(output_for(9.0), sinks, tick=1)
-        assert len(records) == 3
-
 
 class TestMemorySink:
-    def test_log_grows_and_preserves_order(self):
-        sink = memory_sink(Channel.NEARBY)
-        assert sink.log == []
-        first = output_for(2.0)
-        second = output_for(3.0)
-        sink.deliver(first, 1)
-        sink.deliver(second, 2)
-        assert len(sink.log) == 2
-        assert sink.log[0].tick == 1
-        assert sink.log[1].tick == 2
-        assert all(isinstance(r, DeliveryRecord) for r in sink.log)
-
     def test_records_are_immutable_hashable_tuples(self):
-        record = memory_sink(Channel.REMOTE).deliver(output_for(6.0), 4)
+        record = MemorySink(Channel.REMOTE).deliver(output_for(6.0), 4)
         with pytest.raises(AttributeError):
             record.success = False
         assert not hasattr(record, "__dict__")
@@ -141,7 +135,7 @@ def capture_server():
 class TestNetworkSink:
     def test_body_round_trips_all_fields(self, capture_server):
         output = output_for(6.0, HazardCategory.UNATTENDED_ITEM)
-        sink = network_sink(Channel.REMOTE, capture_server)
+        sink = NetworkSink(Channel.REMOTE, capture_server)
         record = sink.deliver(output, tick=42)
         assert record.success is True
         body = _CaptureHandler.bodies[0]
@@ -157,12 +151,12 @@ class TestNetworkSink:
         assert body["text"] == output.message.text
 
     def test_high_output_body_contains_urgent(self, capture_server):
-        sink = network_sink(Channel.COORDINATION, capture_server)
+        sink = NetworkSink(Channel.COORDINATION, capture_server)
         sink.deliver(output_for(9.0), tick=0)
         assert _CaptureHandler.bodies[0]["chi"] == "urgent"
 
     def test_unreachable_endpoint_is_failure_record(self):
-        sink = network_sink(Channel.REMOTE, "http://127.0.0.1:9/nowhere")
+        sink = NetworkSink(Channel.REMOTE, "http://127.0.0.1:9/nowhere")
         record = sink.deliver(output_for(6.0), tick=0)
         assert record.success is False
         assert "failed" in record.detail

@@ -31,7 +31,7 @@ from hazcom.perception import (
     BackendError,
     FaultProfile,
     ScriptedBackend,
-    with_fault_injection,
+    FaultInjectingBackend,
 )
 
 from conftest import make_obs
@@ -94,6 +94,16 @@ class TestEngineConfig:
         with pytest.raises(ValidationError):
             EngineConfig(t_max=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_max", float("nan")), ("t_max", float("inf")),
+        ("fatigue_lambda", float("nan")), ("fatigue_lambda", float("inf")),
+        ("suppression_window", float("nan")), ("suppression_window", float("inf")),
+        ("weights", (float("nan"), 0.25, 0.25, 0.25)),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            EngineConfig(**{field: value})
+
 
 class TestStep:
     def test_kitchen_knife_step_no_alarm(self, s2_obs, scripted):
@@ -125,7 +135,7 @@ class TestStep:
 
     def test_slow_backend_triggers_fallback(self, s1_obs, scripted):
         engine = Engine()
-        slow = with_fault_injection(
+        slow = FaultInjectingBackend(
             scripted, FaultProfile(added_delay=250), engine.clock
         )
         result = engine.step(s1_obs, slow)
@@ -136,7 +146,7 @@ class TestStep:
 
     def test_fallback_cold_start_is_medium(self, s1_obs, scripted):
         engine = Engine()
-        slow = with_fault_injection(
+        slow = FaultInjectingBackend(
             scripted, FaultProfile(added_delay=250), engine.clock
         )
         result = engine.step(s1_obs, slow)
@@ -145,7 +155,7 @@ class TestStep:
     def test_fallback_uses_last_known_grade(self, s1_obs, scripted):
         engine = Engine()
         engine.step(s1_obs, scripted)  # high verdict arrives in time
-        slow = with_fault_injection(
+        slow = FaultInjectingBackend(
             scripted, FaultProfile(added_delay=250), engine.clock
         )
         result = engine.step(s1_obs, slow)
@@ -184,7 +194,7 @@ class TestStep:
 
     def test_slow_no_hazard_step_keeps_alarm_clear(self, empty_obs, scripted):
         engine = Engine()
-        slow = with_fault_injection(
+        slow = FaultInjectingBackend(
             scripted, FaultProfile(added_delay=250), engine.clock
         )
         result = engine.step(empty_obs, slow)
@@ -197,8 +207,8 @@ class TestStep:
         engine = Engine()
         result = engine.step(s1_obs, scripted)
         assert len(engine.queue) == 1
-        assert engine.dequeue() == result.output
-        assert engine.dequeue() is None
+        assert engine.queue.pop() == result.output
+        assert engine.queue.pop() is None
 
     def test_trace_record_fields(self, s1_obs, scripted):
         engine = Engine()
@@ -280,7 +290,7 @@ class TestStepBranchesWithCommTime:
         )
         assert engine.alarm_latched is True
         assert engine.last_known_criticality is Criticality.HIGH
-        assert engine.dequeue() is output
+        assert engine.queue.pop() is output
 
     def test_late_verdict_alerts_from_the_previous_grade(self, make_engine, s1_obs, s2_obs,
                                                          scripted):
@@ -358,7 +368,7 @@ class TestFallbackTotality:
             failure_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
             seed=data.draw(st.integers(0, 1000)),
         )
-        backend = with_fault_injection(ScriptedBackend(), profile, engine.clock)
+        backend = FaultInjectingBackend(ScriptedBackend(), profile, engine.clock)
         observations = [
             make_obs([("knife", "on-floor")]),
             make_obs([]),
@@ -453,14 +463,6 @@ class TestPendingQueue:
         while (item := queue.pop()) is not None:
             drained.append(item)
         assert drained == expected
-
-    def test_snapshot_is_nondestructive_and_ordered(self):
-        queue = PendingQueue()
-        for rho in (2.0, 9.0, 6.0):
-            queue.push(self._output(rho))
-        ordered = queue.snapshot()
-        assert [o.risk.value for o in ordered] == [9.0, 6.0, 2.0]
-        assert len(queue) == 3
 
 
 class TestTimeToFirstAlert:

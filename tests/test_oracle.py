@@ -8,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazcom import (
+    Channel,
     Feasibility,
     HazardCategory,
+    RiskScore,
     ScriptedBackend,
     TimeSensitivity,
     ValidationError,
+    alarm_for,
+    band_risk,
     builtin_suite,
+    character_for,
     oracle_verify,
+    recipients_for,
     run_suite,
+    tone_for,
 )
-from hazcom.oracle import _check_record, _compliant
 
 
 def clean_records():
@@ -273,12 +279,19 @@ _FIELD_VALUES = {
     **_LABEL_VALUES,
 }
 _BANDS = [(5.0, "Low"), (8.0, "Medium"), (_INF, "High")]
+# The numeric scores, band edges included, a record may be re-scored to.
+_SCORES = [rho for rho in _FIELD_VALUES["rho"] if type(rho) in (int, float)]
+# Each policy field's canonical value per band, in K_VALUES order.
+_BY_GRADE = {"k": K_VALUES, "chi": CHI_VALUES, "alarm": [False, True, True],
+             "recipients": RECIPIENT_SETS}
 
 
-def _coherent(record, rho):
-    """The record re-scored to ``rho``, every policy field following it."""
-    band = next((name for limit, name in _BANDS if rho < limit), "High")
-    grade = K_VALUES.index(band)
+def _coherent(record, rho, grade=None):
+    """The record re-scored to ``rho``, every policy field following its
+    band, or the band ``grade`` indexes in ``K_VALUES``."""
+    if grade is None:
+        grade = K_VALUES.index(next((name for limit, name in _BANDS if rho < limit), "High"))
+    band = K_VALUES[grade]
     return {**record, "rho": rho, "gamma": rho, "k": band, "chi": CHI_VALUES[grade],
             "alarm": band != "Low", "recipients": list(RECIPIENT_SETS[grade])}
 
@@ -355,33 +368,46 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def _mutated_records(draw):
-    """A clean record with some fields re-scored, replaced or dropped."""
+    """A clean record re-graded or with some fields replaced, perhaps with
+    a key dropped."""
     record = dict(draw(st.sampled_from(_CLEAN)))
     if draw(st.booleans()):
-        record = _coherent(record, draw(st.floats(0.0, 10.0) | st.integers(-1, 11) | st.floats()))
-    for field in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=4, unique=True)):
-        record[field] = draw(st.sampled_from(_FIELD_VALUES[field]) | _JSON_VALUES)
+        # Re-scored, the policy fields following the score's band or another
+        # one, as a wrong threshold would grade them; then one field follows
+        # any band, as a wrong table entry would give it.
+        rho = draw(st.sampled_from(_SCORES) | st.floats(0.0, 10.0))
+        record = _coherent(record, rho, draw(st.none() | st.integers(0, 2)))
+        field = draw(st.sampled_from(sorted(_BY_GRADE)))
+        record[field] = _BY_GRADE[field][draw(st.integers(0, 2))]
+    else:
+        for field in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=4,
+                                   unique=True)):
+            record[field] = draw(st.sampled_from(_FIELD_VALUES[field]) | _JSON_VALUES)
     if draw(st.integers(0, 9)) == 0:
         del record[draw(st.sampled_from(sorted(record)))]
     return record
 
 
-def _outcome(check):
-    try:
-        return [str(v) for v in check()]
-    except ValidationError as exc:
-        return f"raised: {exc}"
-
-
-class TestCompliantConjunction:
-    def test_accepts_every_engine_record(self):
-        assert all(map(_compliant, _CLEAN))
-        assert not _compliant(MappingProxyType(_CLEAN[0]))
+class TestOracleAgreesWithCore:
+    """The oracle's restatement of the policy against core's own."""
 
     @settings(max_examples=600, deadline=None)
     @given(_mutated_records())
-    def test_accepts_only_what_the_rules_pass(self, record):
-        by_rules = _outcome(lambda: _check_record(0, record))
-        if _compliant(record):
-            assert by_rules == []
-        assert _outcome(lambda: oracle_verify([record])) == by_rules
+    def test_accepted_record_is_what_core_derives(self, record):
+        try:
+            violations = oracle_verify([record])
+        except ValidationError:
+            return
+        if violations:
+            return
+        if record["k"] is None:
+            assert record["alarm"] is False
+            assert list(record["recipients"]) == []
+            return
+        risk = RiskScore(record["rho"])
+        band = band_risk(risk)
+        assert record["k"] == band.value
+        assert record["chi"] == character_for(band).value
+        assert record["alarm"] is alarm_for(band)
+        assert record["gamma"] == tone_for(risk)
+        assert {Channel(c) for c in record["recipients"]} == recipients_for(band)

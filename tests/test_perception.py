@@ -32,7 +32,7 @@ from hazcom import (
     builtin_rule_table,
     run_suite,
     scripted_assess,
-    with_fault_injection,
+    FaultInjectingBackend,
 )
 from hazcom.clock import VirtualClock
 from hazcom.engine import write_trace
@@ -304,26 +304,26 @@ class TestLocationBaseline:
 
 class TestFaultInjection:
     def test_identity_when_disabled(self, s1_obs, scripted):
-        wrapped = with_fault_injection(scripted, FaultProfile())
+        wrapped = FaultInjectingBackend(scripted, FaultProfile())
         assert wrapped.assess(s1_obs) == scripted.assess(s1_obs)
 
     def test_delay_advances_clock(self, s1_obs, scripted):
         clock = VirtualClock()
-        wrapped = with_fault_injection(
+        wrapped = FaultInjectingBackend(
             scripted, FaultProfile(added_delay=250), clock
         )
         wrapped.assess(s1_obs)
         assert clock.now == 250
 
     def test_full_failure_rate_always_raises(self, s1_obs, scripted):
-        wrapped = with_fault_injection(scripted, FaultProfile(failure_rate=1.0))
+        wrapped = FaultInjectingBackend(scripted, FaultProfile(failure_rate=1.0))
         for _ in range(5):
             with pytest.raises(InjectedFault):
                 wrapped.assess(s1_obs)
 
     def test_deterministic_given_seed(self, s1_obs, scripted):
         def outcomes(seed):
-            wrapped = with_fault_injection(
+            wrapped = FaultInjectingBackend(
                 scripted, FaultProfile(failure_rate=0.5, seed=seed)
             )
             result = []

@@ -21,13 +21,13 @@ from hazcom import (
     Criticality,
     Engine,
     HazardCategory,
+    NetworkSink,
     RemoteBackend,
     ValidationError,
     oracle_verify,
     remote_assess,
     scripted_assess,
     builtin_rule_table,
-    network_sink,
 )
 from hazcom.clock import VirtualClock
 from hazcom.perception import (
@@ -277,7 +277,7 @@ class TestHttpTransport:
         result = Engine().step(s1_obs, backend)
         assert result.fallback_used
         assert result.output.criticality is Criticality.MEDIUM
-        delivery = network_sink(Channel.REMOTE, stub_server).deliver(result.output, 0)
+        delivery = NetworkSink(Channel.REMOTE, stub_server).deliver(result.output, 0)
         assert not delivery.success
         assert delivery.detail.startswith("delivery failed: ")
 
@@ -360,7 +360,7 @@ class TestEndpointValidation:
         with pytest.raises(ConfigurationError):
             RemoteBackend(endpoint)
         with pytest.raises(ConfigurationError):
-            network_sink(Channel.REMOTE, endpoint)
+            NetworkSink(Channel.REMOTE, endpoint)
 
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
