@@ -10,7 +10,7 @@ over once the total crosses the budget: a delay above 8 s on top of the
 
 import argparse
 
-from hazcom import EngineConfig, ScriptedBackend, builtin_suite
+from hazcom import Engine, EngineConfig, ScriptedBackend, builtin_suite
 from hazcom.clock import seconds_to_ticks, ticks_to_seconds
 from hazcom.harness import Scenario, run_scenario
 from hazcom.metrics import latency_compliance
@@ -40,7 +40,7 @@ def main() -> None:
                 scenario.ground_truth,
                 FaultProfile(added_delay=seconds_to_ticks(delay_s)),
             )
-            run = run_scenario(slowed, ScriptedBackend(), config)
+            run = run_scenario(slowed, ScriptedBackend(), Engine(config))
             for record in run.trace:
                 latencies.append(record.t_total)
                 if record.criticality is not None:

@@ -128,7 +128,11 @@ def _emit(text: str, path: str | None) -> None:
 
 def _render_report(report: SuiteReport, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # JSON has no NaN or infinity
+            raise ConfigurationError(f"the report holds a non-finite number: {exc}") from exc
+        return text + "\n"
     return report.to_text()
 
 

@@ -374,8 +374,7 @@ class PendingQueue:
         return len(self._heap)
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of one engine step."""
 
     output: Optional[CommOutput]
@@ -430,8 +429,13 @@ class Engine:
         templates: TemplateTable | None = None,
     ) -> None:
         self.config = config if config is not None else EngineConfig()
-        self.clock = clock if clock is not None else VirtualClock()
         self.templates = templates
+        self.reset(clock if clock is not None else VirtualClock())
+
+    def reset(self, clock: Clock) -> None:
+        """Forget every earlier step and go on from ``clock``: no alarm, no
+        last known criticality, nothing pending."""
+        self.clock = clock
         self.alarm_latched = False
         self.last_known_criticality: Criticality | None = None
         self.queue = PendingQueue()
@@ -455,8 +459,7 @@ class Engine:
         self._step_index += 1
 
         start = clock.now
-        clock.advance(profile.t_camera)
-        clock.advance(profile.t_heatmap)
+        clock.advance(profile.t_camera + profile.t_heatmap)
         llm_start = clock.now
         clock.advance(profile.t_llm)
         try:

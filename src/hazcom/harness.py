@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -645,10 +646,13 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 
 @dataclass
 class ScenarioRun:
-    """Trace and deliveries of one backend on one scenario."""
+    """Trace, its wire form and deliveries of one backend on one scenario."""
 
     scenario_id: str
     trace: list[TraceRecord]
+    #: ``record.to_wire()`` of each trace record, built once: the oracle
+    #: checks these dicts and the structured report holds them.
+    wire: list[dict]
     deliveries: list[list[DeliveryRecord]]
     fallback_steps: int
 
@@ -680,6 +684,12 @@ class SuiteReport:
         return sum(len(r.violations) for r in self.results.values())
 
     def to_json_dict(self) -> dict:
+        """The structured report as JSON-ready values.
+
+        Each scenario's list under ``"traces"`` is its run's ``wire`` list
+        itself, not a copy: the returned dict shares those lists and dicts
+        with the report.
+        """
         backends = {}
         for name in self.backend_names:
             result = self.results[name]
@@ -708,10 +718,7 @@ class SuiteReport:
                     }
                     for scenario_id, v in result.violations
                 ],
-                "traces": {
-                    scenario_id: [r.to_wire() for r in run.trace]
-                    for scenario_id, run in result.runs.items()
-                },
+                "traces": {scenario_id: run.wire for scenario_id, run in result.runs.items()},
             }
         return {
             "format": REPORT_FORMAT,
@@ -792,32 +799,30 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def run_scenario(
-    scenario: Scenario, backend: Backend, config: EngineConfig
-) -> ScenarioRun:
-    """Drive one backend through one scenario on a fresh virtual clock,
-    dispatching every pending output through memory sinks."""
-    engine = Engine(config=config, clock=VirtualClock())
-    live_backend: Backend = backend
+def run_scenario(scenario: Scenario, backend: Backend, engine: Engine) -> ScenarioRun:
+    """Drive one backend through one scenario on ``engine``, reset to a fresh
+    virtual clock so that the scenario runs as if alone, and deliver each
+    step's output through memory sinks."""
+    clock = VirtualClock()
+    engine.reset(clock)
     if scenario.fault_profile is not None:
-        live_backend = FaultInjectingBackend(
-            backend, scenario.fault_profile, engine.clock
-        )
+        backend = FaultInjectingBackend(backend, scenario.fault_profile, clock)
     trace: list[TraceRecord] = []
+    wire: list[dict] = []
     deliveries: list[list[DeliveryRecord]] = []
     fallback_steps = 0
-    step, queue, clock, prefix = engine.step, engine.queue, engine.clock, scenario.scenario_id
+    step, pop, prefix = engine.step, engine.queue.pop, scenario.scenario_id
     for index, obs in enumerate(scenario.observations):
-        result = step(obs, live_backend, f"{prefix}:{index}")
-        trace.append(result.record)
-        fallback_steps += result.fallback_used
-        group: list[DeliveryRecord] = []
-        while queue:
-            group.extend(dispatch(queue.pop(), _SINKS, clock.now))
-        deliveries.append(group)
+        output, _, fallback_used, record = step(obs, backend, f"{prefix}:{index}")
+        trace.append(record)
+        wire.append(record.to_wire())
+        fallback_steps += fallback_used
+        # A step enqueues at most its one output, and each step drains the queue.
+        deliveries.append([] if output is None else dispatch(pop(), _SINKS, clock.now))
     return ScenarioRun(
         scenario_id=scenario.scenario_id,
         trace=trace,
+        wire=wire,
         deliveries=deliveries,
         fallback_steps=fallback_steps,
     )
@@ -830,6 +835,8 @@ def run_suite(
 ) -> SuiteReport:
     """Run every backend over every scenario and score the results.
 
+    Each backend runs every scenario on one engine, reset between
+    scenarios, and the oracle checks all of its records in one pass.
     Deterministic end to end; any oracle violation is carried in the
     report, never swallowed.
     """
@@ -844,18 +851,19 @@ def run_suite(
 
     results: dict[str, BackendResult] = {}
     for name, backend in backends.items():
+        engine = Engine(config=config)
         runs: dict[str, ScenarioRun] = {}
-        violations: list[tuple[str, Violation]] = []
         scenario_accuracy: dict[str, float] = {}
         all_trace: list[TraceRecord] = []
+        all_wire: list[dict] = []
         all_truth: list[Optional[StepTruth]] = []
         all_deliveries: list[list[DeliveryRecord]] = []
         l_hazard = 0.0
         l_fatigue = 0.0
         for scenario in scenarios:
-            run = run_scenario(scenario, backend, config)
+            run = run_scenario(scenario, backend, engine)
             runs[scenario.scenario_id] = run
-            truth = list(scenario.ground_truth)
+            truth = scenario.ground_truth
             scenario_accuracy[scenario.scenario_id] = detection_accuracy(
                 run.trace, truth
             )
@@ -865,11 +873,22 @@ def run_suite(
             )
             l_hazard += loss.l_hazard
             l_fatigue += loss.l_fatigue
-            for violation in oracle_verify([r.to_wire() for r in run.trace]):
-                violations.append((scenario.scenario_id, violation))
-            all_trace.extend(run.trace)
-            all_truth.extend(truth)
-            all_deliveries.extend(run.deliveries)
+            all_trace += run.trace
+            all_wire += run.wire
+            all_truth += truth
+            all_deliveries += run.deliveries
+
+        violations: list[tuple[str, Violation]] = []
+        found = oracle_verify(all_wire)
+        if found:
+            # Each violation belongs to the scenario whose records hold its
+            # index, at that index less the scenario's first record's.
+            starts = list(accumulate((len(s.observations) for s in scenarios), initial=0))
+            for violation in found:
+                at = bisect_right(starts, violation.record_index) - 1
+                violations.append((ids[at], replace(
+                    violation, record_index=violation.record_index - starts[at]
+                )))
 
         mean_latency = sum(r.t_total for r in all_trace) / len(all_trace)
         sub = SubMetrics(

@@ -191,11 +191,9 @@ def coordination_success(
                 )
             continue
         output_steps += 1
-        expected = recipients_for(step.criticality)
-        delivered = {r.channel for r in records}
-        if len(delivered) != len(records):
-            continue  # duplicate channel deliveries violate exactness
-        if delivered == expected and all(r.success for r in records):
+        # A failed or repeated delivery leaves fewer channels than records.
+        delivered = {r.channel for r in records if r.success}
+        if len(delivered) == len(records) and delivered == recipients_for(step.criticality):
             routed += 1
     if output_steps == 0:
         return 1.0
@@ -226,24 +224,19 @@ def objective_loss(
     """
     _check_aligned(trace, truth)
     l_hazard = 0.0
-    for record, expected in zip(trace, truth):
-        if expected is None:
-            continue
-        delivered_in_time = (
-            record.criticality is expected.criticality
-            and record.t_total <= t_max
-        )
-        if not delivered_in_time:
-            l_hazard += SEVERITY_WEIGHTS[expected.criticality]
-
     l_fatigue = 0.0
     last_seen: dict[tuple, int] = {}
     for record, expected in zip(trace, truth):
-        if record.criticality is None:
+        criticality = record.criticality
+        if expected is not None and not (
+            criticality is expected.criticality and record.t_total <= t_max
+        ):
+            l_hazard += SEVERITY_WEIGHTS[expected.criticality]
+        if criticality is None:
             continue
         if expected is not None and expected.criticality is Criticality.LOW and record.alarm:
             l_fatigue += 1.0
-        key = (record.category, record.criticality)
+        key = (record.category, criticality)
         previous = last_seen.get(key)
         if previous is not None and record.tick - previous <= suppression_window:
             l_fatigue += 1.0

@@ -231,7 +231,7 @@ def test_criterion_6_latency_and_fallback(s1_obs):
             scenario.ground_truth,
             FaultProfile(added_delay=250, failure_rate=0.0, seed=0),
         )
-        run = run_scenario(slowed, ScriptedBackend(), config)
+        run = run_scenario(slowed, ScriptedBackend(), Engine(config))
         for record, truth in zip(run.trace, slowed.ground_truth):
             if truth is not None:
                 # an affected hazard step: fallback fires, output is valid

@@ -84,6 +84,20 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not report.exists()
 
+    def test_non_finite_report_is_config_error(self, tmp_path, capsys):
+        # A finite lambda this large makes the loss total infinite, which
+        # JSON cannot hold.
+        report = tmp_path / "report.json"
+        code = main([
+            "run", "--lambda", "1e308", "--backend", "object-baseline",
+            "--format", "structured", "--report", str(report),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not report.exists()
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["run", "--seed", "7", "--format", "structured"]

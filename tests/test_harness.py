@@ -1,13 +1,17 @@
+import copy
 import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hazcom.engine
 from hazcom import (
     ConfigurationError,
     Criticality,
-    EngineConfig,
+    Engine,
     FaultProfile,
     HazardCategory,
     LocationBaselineBackend,
@@ -28,9 +32,11 @@ from hazcom import (
     sixty_run_suite,
 )
 from hazcom.clock import seconds_to_ticks
-from hazcom.core import RiskScore, band_risk
+from hazcom.cli import EXIT_VIOLATION, main
+from hazcom.core import MessageTuple, RiskScore, band_risk
 from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario, scenario_file_text, truth_from_rules
+from hazcom.oracle import Violation
 
 
 def local_backends():
@@ -412,9 +418,7 @@ class TestRunSuite:
         assert scripted > baseline
 
     def test_deliveries_match_recipient_sets(self):
-        run = run_scenario(
-            builtin_suite()[0], ScriptedBackend(), EngineConfig()
-        )
+        run = run_scenario(builtin_suite()[0], ScriptedBackend(), Engine())
         for record, group in zip(run.trace, run.deliveries):
             if record.criticality is None:
                 assert group == []
@@ -423,9 +427,7 @@ class TestRunSuite:
 
     def test_degraded_scenario_uses_fallback_but_still_communicates(self):
         suite = {s.scenario_id: s for s in builtin_suite()}
-        run = run_scenario(
-            suite["S8-degraded-backend"], ScriptedBackend(), EngineConfig()
-        )
+        run = run_scenario(suite["S8-degraded-backend"], ScriptedBackend(), Engine())
         hazard_steps = [r for r in run.trace if r.criticality is not None]
         assert hazard_steps
         assert all(r.fallback for r in hazard_steps)
@@ -494,3 +496,120 @@ class TestRunSuite:
         text = report.to_text()
         assert "scripted" in text
         assert "violations: none" in text
+
+
+_FAULT_PROFILES = st.one_of(
+    st.none(),
+    st.builds(
+        FaultProfile,
+        added_delay=st.sampled_from((0, 25, 50, 80, 81, 150, 300)),
+        failure_rate=st.sampled_from((0.0, 0.3, 1.0)),
+        seed=st.integers(0, 2**31 - 1),
+    ),
+)
+
+
+class TestScenarioIsolation:
+    """Each backend runs a suite on one engine; every scenario must still
+    run as if it ran alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        profiles=st.lists(_FAULT_PROFILES, min_size=1, max_size=8),
+    )
+    def test_suite_runs_each_scenario_as_if_alone(self, seed, profiles):
+        suite = [
+            Scenario(s.scenario_id, s.observations, s.ground_truth, profile)
+            for s, profile in zip(generate(seed, len(profiles)), profiles)
+        ]
+        backends = local_backends()
+        together = run_suite(suite, backends)
+        for scenario in suite:
+            alone = run_suite([scenario], backends)
+            for name in backends:
+                run = together.results[name].runs[scenario.scenario_id]
+                expected = alone.results[name].runs[scenario.scenario_id]
+                assert run.trace == expected.trace
+                assert run.deliveries == expected.deliveries
+                assert run.fallback_steps == expected.fallback_steps
+
+    def test_latch_and_grade_do_not_leak_into_the_next_scenario(self):
+        # A ends on a High output, so the alarm is latched and High is the
+        # last known grade; every step of B raises in the backend.
+        person_down = builtin_suite()[2]
+        a = Scenario("A", person_down.observations[:1], person_down.ground_truth[:1])
+        knife = builtin_suite()[0]
+        b = Scenario(
+            "B", knife.observations, knife.ground_truth, FaultProfile(failure_rate=1.0)
+        )
+        engine = Engine()
+        run_scenario(a, ScriptedBackend(), engine)
+        assert engine.alarm_latched
+        assert engine.last_known_criticality is Criticality.HIGH
+        first = run_scenario(b, ScriptedBackend(), engine).trace[0]
+        # With no prior grade the fallback alert grades Medium.
+        assert first.fallback and first.criticality is Criticality.MEDIUM
+        assert first.tick == 0
+        report = run_suite([a, b], {"scripted": ScriptedBackend()})
+        assert report.results["scripted"].runs["B"].trace[0] == first
+
+
+class TestReportedViolations:
+    """A record that breaks a rule is reported under its own scenario, at
+    its index within that scenario."""
+
+    @staticmethod
+    def suite():
+        # Three scenarios of two hazard steps each: the sixth assembled
+        # output is the second record of the third scenario.
+        knife = builtin_suite()[0]
+        return [
+            Scenario(f"T{i}", (knife.observations[1],) * 2, (knife.ground_truth[1],) * 2)
+            for i in range(3)
+        ]
+
+    @staticmethod
+    def break_sixth_tone(monkeypatch):
+        assemble = hazcom.engine.assemble_output
+        calls = []
+
+        def assemble_output(*args, **kwargs):
+            output = assemble(*args, **kwargs)
+            calls.append(output)
+            if len(calls) == 6:
+                # Past CommOutput's own checks: the tone no longer equals the score.
+                output = copy.copy(output)
+                message = output.message
+                object.__setattr__(
+                    output, "message", MessageTuple(message.text, 0.0, message.character)
+                )
+            return output
+
+        monkeypatch.setattr(hazcom.engine, "assemble_output", assemble_output)
+
+    def test_violation_maps_to_scenario_and_record(self, monkeypatch):
+        self.break_sixth_tone(monkeypatch)
+        report = run_suite(self.suite(), {"scripted": ScriptedBackend()})
+        result = report.results["scripted"]
+        rho = result.runs["T2"].trace[1].risk
+        detail = f"tone must equal the score {rho}, recorded 0.0"
+        assert result.violations == [
+            ("T2", Violation(1, "gamma", "tone-coupling rule", detail))
+        ]
+        assert report.to_json_dict()["backends"]["scripted"]["violations"] == [{
+            "scenario": "T2", "record": 1, "field": "gamma",
+            "rule": "tone-coupling rule", "detail": detail,
+        }]
+
+    def test_run_exits_one(self, monkeypatch, tmp_path):
+        self.break_sixth_tone(monkeypatch)
+        scenarios, report = tmp_path / "suite.json", tmp_path / "report.json"
+        save_scenarios(scenarios, self.suite())
+        code = main([
+            "run", "--scenarios", str(scenarios), "--backend", "scripted",
+            "--format", "structured", "--report", str(report),
+        ])
+        assert code == EXIT_VIOLATION
+        violations = json.loads(report.read_text())["backends"]["scripted"]["violations"]
+        assert [(v["scenario"], v["record"]) for v in violations] == [("T2", 1)]
