@@ -315,6 +315,39 @@ def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
                 fh.write(encode(record.to_wire()) + "\n")
 
 
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line, stripped of
+    JSON's own whitespace only; an unreadable file or bytes that are not
+    UTF-8 raise :class:`ValidationError` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip(" \t\r\n")
+                if line:
+                    yield line_no, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _document(line: str, where: str) -> object:
+    """The JSON document a stripped line holds; :class:`ValidationError`
+    naming ``where`` if it holds none."""
+    # On a stripped line, a value that ends the line is what json.loads
+    # returns; anything else goes to json.loads for its verdict and exact
+    # message.  Besides JSONDecodeError, json raises ValueError for an
+    # integer longer than int() converts (4,300 digits by default).
+    try:
+        doc, end = _JSON_DECODER.raw_decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{where}: not JSON: {exc}") from exc
+    return doc
+
+
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """Yield ``("<path>:<line>", document)`` for each non-blank line.
 
@@ -323,34 +356,134 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     own whitespace is stripped, so a line that ``json.loads`` rejects, such
     as one ending in a vertical tab or U+2028, is not JSON here either.
     """
-    decode, prefix = _JSON_DECODER.raw_decode, f"{path}:"
+    prefix = f"{path}:"
+    for line_no, line in _lines(path):
+        where = f"{prefix}{line_no}"
+        yield where, _document(line, where)
+
+
+# The reader's side of the fragment cache.  A line is cut at its per-step
+# values, and the four segments before them are its shape.  _SHAPES maps
+# the shape of a line the writer built from fragments to the fields those
+# fragments hold, as (category, d, tau, phi), k and (chi, alarm, recipients,
+# t_total, fallback, text); it maps a shape found not to be the writer's to
+# ().  A shape seen once waits in _SEEN and is judged on its second
+# sighting, so a stream whose lines never repeat adds no shape and encodes
+# nothing.  Each holds at most _SHAPES_SIZE entries and is cleared when full.
+_SHAPES_SIZE = 1024
+_SHAPES: dict[tuple[str, str, str, str], tuple] = {}
+_SEEN: set[tuple[str, str, str, str]] = set()
+_GAMMA_AT, _OBS_ID_AT, _RHO_AT, _TICK_AT = (f'"{key}": ' for key, _ in _PER_STEP_FIELDS)
+_OBS_ID_AT += '"'  # obs_id's quotes belong to the segments around it
+_GAMMA_LEN, _OBS_ID_LEN, _RHO_LEN, _TICK_LEN = map(len, (_GAMMA_AT, _OBS_ID_AT, _RHO_AT, _TICK_AT))
+_NOT_WRITTEN = object()
+
+
+@lru_cache(maxsize=1024)
+def _score(text: str) -> float | None | object:
+    """The value of a per-step score's text if :func:`write_trace` writes
+    that value so: ``null``, or the ``repr`` of a finite float; otherwise
+    ``_NOT_WRITTEN``.  A run's scores take few values, hence the cache."""
+    if text == "null":
+        return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip(" \t\r\n")
-                if not line:
-                    continue
-                where = f"{prefix}{line_no}"
-                # On a stripped line, a value that ends the line is what
-                # json.loads returns; anything else goes to json.loads for
-                # its verdict and exact message.
-                try:
-                    doc, end = decode(line)
-                except (json.JSONDecodeError, RecursionError):
-                    end = -1
-                if end != len(line):
-                    try:
-                        doc = json.loads(line)
-                    except (json.JSONDecodeError, RecursionError) as exc:
-                        raise ValidationError(f"{where}: not JSON: {exc}") from exc
-                yield where, doc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        value = float(text)
+    except ValueError:
+        return _NOT_WRITTEN
+    return value if value - value == 0.0 and repr(value) == text else _NOT_WRITTEN
+
+
+def _from_shape(fields: tuple, gamma: str, obs_id: str, rho: str, tick: str) -> TraceRecord | None:
+    """The record of a line whose shape holds ``fields`` and whose per-step
+    values have these texts, or None unless each text is what
+    :func:`write_trace` writes for its value: see :func:`_score`; printable
+    ASCII with no backslash or quote; an int in its canonical form."""
+    g, r = _score(gamma), _score(rho)
+    if g is _NOT_WRITTEN or r is _NOT_WRITTEN:
+        return None
+    try:
+        t = int(tick)
+    except ValueError:
+        return None
+    if str(t) == tick and obs_id.isascii() and obs_id.isprintable() and "\\" not in obs_id:
+        labels, criticality, rest = fields
+        return tuple.__new__(TraceRecord, (t, obs_id, *labels, r, criticality, g, *rest))
+    return None
+
+
+def _learn(shape: tuple, record: TraceRecord, *texts: str) -> None:
+    """Judge a shape on its second sighting: the line of that shape the
+    checked path decoded to ``record``, with per-step value ``texts``."""
+    (_, _, category, level, time_sensitivity, feasibility, _, criticality, _, character,
+     alarm, recipients, t_total, fallback, text) = record
+    fields = (
+        (category, level, time_sensitivity, feasibility), criticality,
+        (character, alarm, recipients, t_total, fallback, text),
+    )
+    # With its values written as the writer writes them, the line's fields
+    # follow from its shape alone, so the verdict holds for the shape.
+    if _from_shape(fields, *texts) is None:
+        return
+    _SEEN.discard(shape)
+    head, after_gamma, after_id, after_rho, tail = _line_fragments(
+        category, level, time_sensitivity, feasibility, criticality, character,
+        alarm, recipients, t_total, fallback, text,
+    )
+    writers = shape == (head, f'{after_gamma}"', f'"{after_id}', after_rho) and tail == "}\n"
+    if len(_SHAPES) >= _SHAPES_SIZE:
+        _SHAPES.clear()
+    _SHAPES[shape] = fields if writers else ()
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """Parse a trace log written by :func:`write_trace`."""
-    return [TraceRecord.from_wire(doc, where) for where, doc in read_json_lines(path)]
+    """Parse a trace log written by :func:`write_trace`.
+
+    Every file reads as ``json.loads`` plus :meth:`TraceRecord.from_wire`
+    read each line: the same records, or the same :class:`ValidationError`.
+    A line the writer built from fragments is recognised by its shape, the
+    text around its tick, obs_id, rho and gamma, and decoded from the fields
+    kept for that shape, with only those four values parsed.  A shape is
+    kept (at most 1,024 of them) once the checked path has decoded a line of
+    it twice and found it to be the writer's fragments for the fields it
+    decoded.  Any other line, or one whose per-step values are not written
+    exactly as the writer writes them, takes the checked path.
+    """
+    records: list[TraceRecord] = []
+    append, shapes, seen = records.append, _SHAPES, _SEEN
+    prefix = f"{path}:"
+    for line_no, line in _lines(path):
+        fields = ()
+        if line[-1] == "}":
+            # A find that fails leaves some segment shorter than the marker
+            # its kept counterpart ends in; so in a line of a kept shape
+            # every marker was found, in order, and the segments and the
+            # values between them spell the line.
+            find = line.find
+            a = find(_GAMMA_AT) + _GAMMA_LEN
+            b = find(",", a)
+            c = find(_OBS_ID_AT, b) + _OBS_ID_LEN
+            d = find('"', c)
+            e = find(_RHO_AT, d) + _RHO_LEN
+            f = find(",", e)
+            g = line.rfind(_TICK_AT, f) + _TICK_LEN
+            shape = (line[:a], line[b:c], line[d:e], line[f:g])
+            fields = shapes.get(shape)
+            if fields:
+                record = _from_shape(fields, line[a:b], line[c:d], line[e:f], line[g:-1])
+                if record is not None:
+                    append(record)
+                    continue
+        where = f"{prefix}{line_no}"
+        record = TraceRecord.from_wire(_document(line, where), where)
+        if fields is None:
+            if shape in seen:
+                _learn(shape, record, line[a:b], line[c:d], line[e:f], line[g:-1])
+            else:
+                if len(seen) >= _SHAPES_SIZE:
+                    seen.clear()
+                seen.add(shape)
+        append(record)
+    return records
 
 
 class PendingQueue:

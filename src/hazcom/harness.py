@@ -41,12 +41,13 @@ from .metrics import (
     LossAccount,
     StepTruth,
     SubMetrics,
+    _loss_terms,
     coordination_success,
     detection_accuracy,
     effectiveness,
     latency_compliance,
     message_alignment,
-    objective_loss,
+    objective_loss,  # noqa: F401  perfbench/tracing.py patches each metric by name here
 )
 from .oracle import Violation, oracle_verify
 from .perception import (
@@ -867,12 +868,11 @@ def run_suite(
             scenario_accuracy[scenario.scenario_id] = detection_accuracy(
                 run.trace, truth
             )
-            loss = objective_loss(
-                run.trace, truth, config.fatigue_lambda, config.t_max,
-                config.suppression_window,
+            hazard, fatigue = _loss_terms(
+                run.trace, truth, config.t_max, config.suppression_window
             )
-            l_hazard += loss.l_hazard
-            l_fatigue += loss.l_fatigue
+            l_hazard += hazard
+            l_fatigue += fatigue
             all_trace += run.trace
             all_wire += run.wire
             all_truth += truth

@@ -85,6 +85,13 @@ class LossAccount:
             raise ValidationError("loss terms must be non-negative")
         if self.fatigue_lambda <= 0:
             raise ValidationError("fatigue_lambda must be positive")
+        # A finite lambda large enough overflows the total, which no report
+        # can hold.
+        if not math.isfinite(self.total):
+            raise ValidationError(
+                f"non-finite loss total: l_hazard {self.l_hazard} + lambda "
+                f"{self.fatigue_lambda} * l_fatigue {self.l_fatigue} = {self.total}"
+            )
 
     @property
     def total(self) -> float:
@@ -222,6 +229,19 @@ def objective_loss(
     step, plus one per repeated identical alert (same category and grade)
     within the suppression window.
     """
+    l_hazard, l_fatigue = _loss_terms(trace, truth, t_max, suppression_window)
+    return LossAccount(l_hazard=l_hazard, l_fatigue=l_fatigue, fatigue_lambda=fatigue_lambda)
+
+
+def _loss_terms(
+    trace: Sequence[TraceRecord],
+    truth: Sequence[Optional[StepTruth]],
+    t_max: int,
+    suppression_window: int,
+) -> tuple[float, float]:
+    """``(l_hazard, l_fatigue)`` of one run, as :func:`objective_loss` defines
+    them.  Both are sums of 1.0, 2.0 and 4.0, so the terms of several runs
+    add up exactly."""
     _check_aligned(trace, truth)
     l_hazard = 0.0
     l_fatigue = 0.0
@@ -241,7 +261,4 @@ def objective_loss(
         if previous is not None and record.tick - previous <= suppression_window:
             l_fatigue += 1.0
         last_seen[key] = record.tick
-
-    return LossAccount(
-        l_hazard=l_hazard, l_fatigue=l_fatigue, fatigue_lambda=fatigue_lambda
-    )
+    return l_hazard, l_fatigue

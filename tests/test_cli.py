@@ -95,7 +95,21 @@ class TestRun:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "non-finite" in err
+        assert "non-finite loss total" in err
+        assert not report.exists()
+
+    def test_non_finite_loss_is_config_error_in_text_too(self, tmp_path, capsys):
+        # The text report would print "loss inf"; both formats refuse alike.
+        report = tmp_path / "report.txt"
+        code = main([
+            "run", "--lambda", "1e308", "--backend", "object-baseline",
+            "--report", str(report),
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite loss total: ")
+        assert captured.err.count("\n") == 1
         assert not report.exists()
 
     def test_byte_identical_reports(self, tmp_path):

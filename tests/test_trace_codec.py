@@ -3,6 +3,8 @@ path agrees with its checked path on every document, and the writer, the
 reader and the oracle follow the one field table."""
 
 import json
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,19 @@ from hazcom import (
     Engine,
     Feasibility,
     HazardCategory,
+    LocationBaselineBackend,
+    ObjectBaselineBackend,
+    ScriptedBackend,
     TimeSensitivity,
     TraceRecord,
     ValidationError,
+    builtin_suite,
     oracle_verify,
     read_trace,
+    run_suite,
     write_trace,
 )
+from hazcom import engine
 from hazcom.engine import _PER_STEP_FIELDS, TRACE_FIELDS, _line_fragments, read_json_lines
 
 
@@ -194,6 +202,231 @@ class TestDecoderAgreement:
         )
 
 
+def _read_checked(path):
+    """``read_trace`` as the checked path alone has it: ``json.loads`` and
+    ``TraceRecord._from_wire_checked`` on each stripped, non-blank line."""
+    records = []
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        line = line.strip(" \t\r\n")
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: not JSON: {exc}") from exc
+        records.append(TraceRecord._from_wire_checked(doc, where))
+    return records
+
+
+def _agree(path):
+    """Assert that ``read_trace`` gives the checked path's outcome on the
+    file; return how many of its lines ``read_trace`` decoded as JSON."""
+    with mock.patch.object(engine, "_document", wraps=engine._document) as checked:
+        outcome = _outcome(read_trace, path)
+    assert outcome == _outcome(_read_checked, path)
+    return checked.call_count
+
+
+def _write_with_base(path, base, last):
+    """``base`` written three times, then the line ``last``; the file is
+    read once, so that ``base``'s shape is known."""
+    path.unlink(missing_ok=True)
+    for _ in range(3):
+        write_trace(path, [base])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(last + "\n")
+    _outcome(read_trace, path)
+
+
+# The text the cut looks for, inside a string it must not cut.
+_MARKERS = [f'"{key}": ' for key, _ in _PER_STEP_FIELDS] + ['"obs_id": "', "}", ", "]
+_MARKED_TEXT = st.lists(st.sampled_from(_MARKERS) | _TEXT, max_size=3).map("".join)
+_PLAIN_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\')
+)
+_FINITE = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+# Records whose per-step values the writer writes in the form the reader
+# recognises, so that their lines can take the fast path.
+_PLAIN_STEPS = st.builds(
+    lambda record, tick, obs_id, rho, gamma: record._replace(
+        tick=tick, obs_id=obs_id, risk=rho, tone=gamma
+    ),
+    _WELL_TYPED, st.integers(-(10**20), 10**20), _PLAIN_TEXT, _FINITE, _FINITE,
+)
+# Characters an edit puts into a line: JSON's punctuation, digits, letters of
+# its literals, an escape, and any other character but a line break.
+_EDIT_CHARS = st.sampled_from(list('"\\,:{}[] 0123456789.-+eEnulltrfas/\x00\xe9')) | st.characters(
+    blacklist_characters="\n\r"
+)
+# A per-step value spelt otherwise than the writer writes it: as JSON allows,
+# or as Python's float() and int() accept but JSON does not.
+_NUMBERS = ["1e0", "1.50", "-0", "007", "NaN", "Infinity", "-Infinity", "1E0", "0.5e1",
+            "inf", "nan", "+1.5", "1_0.5", "٧.5", "1.", ".5", "1e400"]
+_RESPELT = {
+    "gamma": _NUMBERS,
+    "rho": _NUMBERS,
+    "tick": ["1e0", "1.50", "-0", "007", "NaN", "Infinity", "1E2", "0.0", "+7", "7_0",
+             "٧", "1" * 5000],
+    "obs_id": ['"a\\"b"', '"a\\\\b"', '"\xe9"', '"\\u00e9"', '"\\/"', '"a\\tb"', '"\x7f"',
+               '"\x00"', '"\t"'],
+}
+
+
+class TestReaderAgreesWithCheckedPath:
+    """``read_trace`` decodes a line of a shape it has learnt without JSON;
+    whichever path a line takes, the outcome is the checked path's.  A line
+    under test follows three copies of a written line, so that it meets a
+    known shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_RECORDS | _PLAIN_STEPS, min_size=1, max_size=4))
+    def test_lines_as_written(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        path.unlink(missing_ok=True)
+        for _ in range(3):
+            write_trace(path, records)
+        _agree(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(_PLAIN_STEPS, min_size=1, max_size=4))
+    def test_third_sighting_takes_the_fast_path(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        path.unlink(missing_ok=True)
+        for _ in range(3):
+            write_trace(path, records)
+        assert _agree(path) <= 2 * len(records)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        base=_PLAIN_STEPS,
+        edit=st.sampled_from(["insert", "delete", "replace"]),
+        char=_EDIT_CHARS,
+        data=st.data(),
+    )
+    def test_one_character_edited(self, tmp_path_factory, base, edit, char, data):
+        line = json.dumps(base.to_wire(), sort_keys=True)
+        # Anywhere, or at an edge of a per-step value or of the line.
+        edges = [0, len(line) - 2, len(line) - 1]
+        for key, _ in _PER_STEP_FIELDS:
+            at = line.index(f'"{key}": ') + len(key) + 4
+            end = min(i for i in (line.find(",", at), line.find("}", at)) if i >= 0)
+            edges += [at - 1, at, at + 1, end - 1, end]
+        i = data.draw(st.integers(0, len(line) - 1) | st.sampled_from(edges))
+        edited = {
+            "insert": line[:i] + char + line[i:],
+            "delete": line[:i] + line[i + 1:],
+            "replace": line[:i] + char + line[i + 1:],
+        }[edit]
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        _write_with_base(path, base, edited)
+        assert _agree(path) <= 1
+
+    @pytest.mark.parametrize("key, spelling", [
+        pytest.param(key, spelling, id=f"{key}-{i}")
+        for key, spellings in sorted(_RESPELT.items()) for i, spelling in enumerate(spellings)
+    ])
+    @settings(max_examples=10, deadline=None)
+    @given(base=_PLAIN_STEPS)
+    def test_per_step_value_spelt_another_way(self, tmp_path_factory, key, spelling, base):
+        wire = base.to_wire()
+        wire[key] = "\x00"
+        # Only the key itself is written with bare quotes.
+        respelt = json.dumps(wire, sort_keys=True).replace(
+            f'"{key}": "\\u0000"', f'"{key}": {spelling}'
+        )
+        assert spelling in respelt
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        _write_with_base(path, base, respelt)
+        # The respelt line is not the writer's, so JSON reads it.
+        assert _agree(path) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base=_PLAIN_STEPS, key=st.sampled_from([key for key, _ in _PER_STEP_FIELDS]),
+        firsts=st.lists(_PLAIN_STEPS, min_size=4, max_size=4),
+    )
+    def test_per_step_key_written_twice(self, tmp_path_factory, base, key, firsts):
+        # json.loads keeps the last of two equal keys; a line whose first
+        # copy of a per-step key varies is valid JSON, but not the writer's
+        # line, and the first copy is not the value it decodes to.
+        field = {"tick": "tick", "obs_id": "obs_id", "rho": "risk", "gamma": "tone"}[key]
+        wire = base.to_wire()
+        line = json.dumps(wire, sort_keys=True)
+        real = f'"{key}": {json.dumps(wire[key])}'
+        assert line.count(real) == 1
+        lines = [
+            line.replace(real, f'"{key}": {json.dumps(getattr(first, field))}, {real}')
+            for first in firsts
+        ]
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        _agree(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=_PLAIN_STEPS, text=_MARKED_TEXT, obs_id=_MARKED_TEXT,
+        steps=st.lists(st.tuples(st.integers(0, 10**6), _SCORES, _SCORES), max_size=3),
+    )
+    def test_cut_markers_inside_strings(self, tmp_path_factory, base, text, obs_id, steps):
+        record = base._replace(text=text, obs_id=obs_id)
+        records = [record] * 3 + [
+            record._replace(tick=tick, risk=rho, tone=gamma) for tick, rho, gamma in steps
+        ]
+        path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        path.unlink(missing_ok=True)
+        write_trace(path, records)
+        _agree(path)
+
+    def test_a_line_not_as_written_does_not_judge_its_shape(
+        self, tmp_path, s1_obs, scripted, monkeypatch
+    ):
+        # The second line has the first's shape, but its tick is followed by
+        # a second "text"; it decodes, to other fields.  Judged on it, the
+        # shape would be refused and the lines after it read as JSON.
+        monkeypatch.setattr(engine, "_SHAPES", {})
+        monkeypatch.setattr(engine, "_SEEN", set())
+        record = Engine().step(s1_obs, scripted).record
+        line = json.dumps(record.to_wire(), sort_keys=True)
+        odd = line[:-1] + ', "text": "other"}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{line}\n{odd}\n{line}\n{line}\n", encoding="utf-8")
+        assert _agree(path) == 3
+        assert read_trace(path)[1].text == "other"
+
+    def test_shape_table_stays_bounded_and_unpoisoned(self, tmp_path, s1_obs, scripted):
+        # 30,000 lines whose shapes never repeat are read by the checked
+        # path and leave the tables within their bound; a builtin-suite trace
+        # read afterwards still decodes every line from its shape.
+        record = Engine().step(s1_obs, scripted).record
+        unique = [
+            record._replace(tick=i, obs_id=f"step-{i}", risk=i / 7, text=f"message {i}")
+            for i in range(30_000)
+        ]
+        path = tmp_path / "unique.jsonl"
+        write_trace(path, unique)
+        assert read_trace(path) == unique
+        assert len(engine._SHAPES) <= engine._SHAPES_SIZE == 1024
+        assert len(engine._SEEN) <= engine._SHAPES_SIZE
+
+        report = run_suite(builtin_suite(), {
+            "scripted": ScriptedBackend(),
+            "object-baseline": ObjectBaselineBackend(),
+            "location-baseline": LocationBaselineBackend(),
+        })
+        records = [
+            r for name in report.backend_names
+            for run in report.results[name].runs.values() for r in run.trace
+        ]
+        path = tmp_path / "builtin.jsonl"
+        write_trace(path, records)
+        for _ in range(2):
+            assert read_trace(path) == records
+        with mock.patch.object(engine, "_document", side_effect=AssertionError):
+            assert read_trace(path) == records
+        assert len(engine._SHAPES) <= engine._SHAPES_SIZE
+
+
 class TestStrictWhitespace:
     @pytest.mark.parametrize("char", ["\x0b", "\x1c", "\x85", "\u2028", "\u3000"],
                              ids=["VT", "FS", "NEL", "LS", "ideographic-space"])
@@ -207,6 +440,20 @@ class TestStrictWhitespace:
         with pytest.raises(ValidationError) as excinfo:
             read_trace(path)
         assert str(excinfo.value).startswith(f"{path}:1: not JSON: ")
+
+    def test_integer_longer_than_python_reads_is_not_json(self, tmp_path, s1_obs, scripted):
+        # json.loads raises a bare ValueError past int()'s digit limit.
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length")
+        record = Engine().step(s1_obs, scripted).record
+        line = json.dumps(record.to_wire(), sort_keys=True).replace(
+            '"tick": 0', f'"tick": {"1" * 5000}'
+        )
+        path = tmp_path / "trace.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        for read in (read_trace, lambda p: list(read_json_lines(p))):
+            with pytest.raises(ValidationError, match=f"^{path}:1: not JSON: Exceeds the limit"):
+                read(path)
 
     def test_json_whitespace_is_stripped(self, tmp_path, s1_obs, scripted):
         record = Engine().step(s1_obs, scripted).record
