@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Protocol
 
 from . import _http
@@ -48,6 +49,13 @@ def comm_output_wire(output: CommOutput, tick: int) -> dict:
     }
 
 
+@lru_cache(maxsize=1024)
+def _memory_detail(character: str, text: str) -> str:
+    """One shared detail string per message: texts come from templates, so
+    they repeat across deliveries and runs."""
+    return f"{character}: {text}"
+
+
 @dataclass(frozen=True)
 class MemorySink:
     """In-memory sink: always succeeds and keeps nothing, so one sink can
@@ -58,7 +66,7 @@ class MemorySink:
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
         message = output.message
         return DeliveryRecord(
-            self.channel, tick, True, f"{message.character._value_}: {message.text}"
+            self.channel, tick, True, _memory_detail(message.character._value_, message.text)
         )
 
 

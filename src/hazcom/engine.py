@@ -73,6 +73,13 @@ class StageTimers:
         return self.t_camera + self.t_heatmap + self.t_llm + self.t_comm
 
 
+# The off-nominal timers of a step, one validated instance per distinct
+# value: delays repeat, and a frozen instance can be shared.  ``typed`` keeps
+# an int and an equal float apart; a value that fails validation raises each
+# time, since lru_cache keeps no exceptions.
+_stage_timers = lru_cache(maxsize=1024, typed=True)(StageTimers)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine and scoring knobs.
@@ -602,14 +609,14 @@ class Engine:
         t_llm = clock.now - llm_start
         timers = (
             profile if t_llm == profile.t_llm
-            else StageTimers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
+            else _stage_timers(profile.t_camera, profile.t_heatmap, t_llm, profile.t_comm)
         )
 
         if assessment is None:
             # Explicit no-hazard: clear the alarm, nothing to say, no t_comm.
             self.alarm_latched = False
             if timers.t_comm:
-                timers = StageTimers(profile.t_camera, profile.t_heatmap, t_llm, 0)
+                timers = _stage_timers(profile.t_camera, profile.t_heatmap, t_llm, 0)
             return StepResult(None, timers, False, TraceRecord(
                 start, obs_id, None, None, None, None, None, None, None, None,
                 False, (), timers.total, False, None,

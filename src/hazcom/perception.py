@@ -709,8 +709,11 @@ class FaultInjectingBackend:
     """Wraps a backend with configured delay and seeded failures.
 
     The delay is applied by advancing the supplied clock, so the pipeline
-    observes it in its stage timers.  Behavior is a pure function of the
-    profile seed and the call sequence.
+    observes it in its stage timers; a delay needs a clock, and without one
+    the wrapper raises ConfigurationError when it is built.  Behavior
+    is a pure function of the profile seed and the call sequence: the
+    failure generator is seeded only for a profile that can fail, and draws
+    once per call.
     """
 
     def __init__(
@@ -719,13 +722,17 @@ class FaultInjectingBackend:
         profile: FaultProfile,
         clock: Clock | None = None,
     ) -> None:
+        if profile.added_delay and clock is None:
+            raise ConfigurationError(
+                f"added_delay {profile.added_delay} needs a clock to advance"
+            )
         self.inner = inner
         self.profile = profile
         self._clock = clock
-        self._rng = random.Random(profile.seed)
+        self._rng = random.Random(profile.seed) if profile.failure_rate else None
 
     def assess(self, obs: Observation) -> Optional[HazardAssessment]:
-        if self.profile.added_delay and self._clock is not None:
+        if self.profile.added_delay:
             self._clock.advance(self.profile.added_delay)
         if self.profile.failure_rate and self._rng.random() < self.profile.failure_rate:
             raise InjectedFault(

@@ -101,6 +101,13 @@ class TestMemorySink:
         # A record is a named tuple, so it equals the plain tuple of its fields.
         assert record == (Channel.REMOTE, 4, True, f"alert: {output_for(6.0).message.text}")
 
+    def test_deliveries_of_one_message_share_their_detail(self):
+        output = output_for(6.0)
+        first = MemorySink(Channel.NEARBY).deliver(output, 1)
+        second = MemorySink(Channel.REMOTE).deliver(output_for(6.0), 9)
+        assert first.detail == f"alert: {output.message.text}"
+        assert first.detail is second.detail
+
 
 class _CaptureHandler(BaseHTTPRequestHandler):
     bodies = []

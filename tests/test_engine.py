@@ -76,6 +76,17 @@ class TestStageTimers:
         with pytest.raises(ValidationError):
             StageTimers(-1, 0, 0, 0)
 
+    def test_steps_with_one_delay_share_their_timers(self, s1_obs, scripted):
+        def delayed_timers(delay):
+            engine = Engine()
+            slow = FaultInjectingBackend(scripted, FaultProfile(added_delay=delay), engine.clock)
+            return engine.step(s1_obs, slow).timers
+
+        first, second = delayed_timers(250), delayed_timers(250)
+        assert first == StageTimers(10, 15, 345, 0)
+        assert first is second
+        assert delayed_timers(30) == StageTimers(10, 15, 125, 0)
+
 
 class TestEngineConfig:
     def test_defaults(self):
@@ -376,6 +387,9 @@ class TestFallbackTotality:
         ]
         for obs in observations:
             result = engine.step(obs, backend)
+            assert result.record.t_total == result.timers.total
+            # The delay lands in t_llm whatever the verdict, failure or none.
+            assert result.timers == StageTimers(10, 15, 95 + delay, 0)
             has_output = result.output is not None
             explicit_no_hazard = result.record.criticality is None
             assert has_output or explicit_no_hazard

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fnmatch import fnmatchcase
 
 import pytest
@@ -337,6 +338,37 @@ class TestFaultInjection:
 
         assert outcomes(7) == outcomes(7)
         assert outcomes(7) != outcomes(8)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.5, 0.9])
+    def test_failures_follow_the_seeded_draws(self, s1_obs, scripted, seed, rate):
+        # A profile that can fail draws once per call from Random(seed).
+        wrapped = FaultInjectingBackend(scripted, FaultProfile(failure_rate=rate, seed=seed))
+        draws = random.Random(seed)
+        for _ in range(60):
+            expected_failure = draws.random() < rate
+            try:
+                wrapped.assess(s1_obs)
+            except InjectedFault:
+                assert expected_failure
+            else:
+                assert not expected_failure
+
+    @given(st.integers(min_value=-(2**64), max_value=2**64), st.integers(0, 400))
+    def test_profile_that_cannot_fail_never_raises(self, seed, delay):
+        obs = make_obs([("knife", "on-floor")])
+        scripted = ScriptedBackend()
+        wrapped = FaultInjectingBackend(
+            scripted, FaultProfile(added_delay=delay, seed=seed), VirtualClock()
+        )
+        for _ in range(5):
+            assert wrapped.assess(obs) == scripted.assess(obs)
+
+    def test_delay_without_clock_is_config_error(self, scripted):
+        with pytest.raises(ConfigurationError, match="added_delay 250 needs a clock"):
+            FaultInjectingBackend(scripted, FaultProfile(added_delay=250))
+        # Without a delay no clock is needed.
+        FaultInjectingBackend(scripted, FaultProfile(failure_rate=0.5))
 
     def test_profile_validation(self):
         with pytest.raises(ValidationError):

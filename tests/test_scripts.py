@@ -27,3 +27,20 @@ def test_fault_sweep_falls_back_just_past_the_budget():
         "     8.0           0.00           20.00    0.000\n"
         "     8.1           1.00           20.10    0.000\n"
     )
+
+
+def test_fault_sweep_default_grid():
+    # The default grid, 0-30 s: the total is the 12 s profile plus the delay,
+    # and every delay above 8 s sends every output through the fallback path.
+    assert run_script("fault_injection_sweep.py") == (
+        " delay_s  fallback_rate  mean_latency_s  eps_lat\n"
+        "     0.0           0.00           12.00    0.400\n"
+        "     2.5           0.00           14.50    0.275\n"
+        "     5.0           0.00           17.00    0.150\n"
+        "     7.5           0.00           19.50    0.025\n"
+        "    10.0           1.00           22.00    0.000\n"
+        "    15.0           1.00           27.00    0.000\n"
+        "    20.0           1.00           32.00    0.000\n"
+        "    25.0           1.00           37.00    0.000\n"
+        "    30.0           1.00           42.00    0.000\n"
+    )
