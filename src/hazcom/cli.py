@@ -5,7 +5,7 @@ Subcommands: ``run`` (execute a suite and write a report), ``verify``
 side-by-side), ``replay`` (re-dispatch a trace through sinks), and ``gen``
 (write a randomized scenario file).
 
-Exit codes: 0 clean, 1 oracle violation found, 2 configuration error.
+Exit codes: 0 clean, 1 oracle violation found, 2 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from .clock import seconds_to_ticks
 from .core import (
@@ -140,9 +141,11 @@ def _write_traces(report: SuiteReport, trace_dir: str) -> None:
     directory = Path(trace_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for backend_name in report.backend_names:
-        result = report.results[backend_name]
-        for scenario_id, run in result.runs.items():
-            path = directory / f"{backend_name}__{scenario_id}.jsonl"
+        for scenario_id, run in report.results[backend_name].runs.items():
+            # Percent-encoded outside [A-Za-z0-9._-], a name such as
+            # remote:http://host/path__S1 stays one path component.
+            name = quote(f"{backend_name}__{scenario_id}", safe="", errors="surrogatepass")
+            path = directory / f"{name.replace('~', '%7E')}.jsonl"
             path.write_text("", encoding="utf-8")
             write_trace(path, run.trace)
 
@@ -299,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValidationError) as exc:
+    except (ConfigurationError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -157,33 +157,8 @@ class TraceRecord(NamedTuple):
 
     @classmethod
     def from_wire(cls, doc: dict, where: str = "record") -> "TraceRecord":
-        # A well-formed line decodes with subscripts alone: each scalar's type
-        # is checked against its row of TRACE_FIELDS and each label is looked
-        # up in its field's label dict.  Anything else, including an absent
-        # optional key, takes the checked path, which gives the record or the
-        # message.
-        if type(doc) is dict:
-            try:
-                values = []
-                append = values.append
-                for key, labels, types, as_float in _FAST_FIELDS:
-                    value = doc[key]
-                    if not types:
-                        append(labels[value])
-                    elif type(value) not in types:
-                        break
-                    elif labels is not None:
-                        append(tuple(map(labels.__getitem__, value)))
-                    else:
-                        append(float(value) if as_float and type(value) is int else value)
-                else:
-                    return cls._make(values)
-            except (KeyError, TypeError, OverflowError):
-                pass
-        return cls._from_wire_checked(doc, where)
-
-    @classmethod
-    def _from_wire_checked(cls, doc: dict, where: str) -> "TraceRecord":
+        """The record of a decoded trace line, each value checked against its
+        row of :data:`TRACE_FIELDS`; a :class:`ValidationError` names ``where``."""
         if not isinstance(doc, dict):
             raise ValidationError(f"{where}: not an object")
         if not _REQUIRED_WIRE_KEYS <= doc.keys():
@@ -253,14 +228,8 @@ _LABELS = {
     f.key: members_by_label(f.enum) if f.types else {**members_by_label(f.enum), None: None}
     for f in TRACE_FIELDS if f.enum is not None
 }
-# The fast path's view of each row: key, label dict, JSON types, and whether
-# an integer is read as a float.
-_FAST_FIELDS = tuple(
-    (f.key, _LABELS.get(f.key), f.types, float in f.types) for f in TRACE_FIELDS
-)
 
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
-_JSON_DECODER = json.JSONDecoder()
 # The fields that change from step to step, in the order the sorted-key
 # encoder writes them, each with the value a placeholder record gives it.
 _PER_STEP_FIELDS = (("gamma", "null"), ("obs_id", '""'), ("rho", "null"), ("tick", "0"))
@@ -337,32 +306,19 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def _document(line: str, where: str) -> object:
-    """The JSON document a stripped line holds; :class:`ValidationError`
-    naming ``where`` if it holds none."""
-    # On a stripped line, a value that ends the line is what json.loads
-    # returns; anything else goes to json.loads for its verdict and exact
-    # message.  Besides JSONDecodeError, json raises ValueError for an
-    # integer longer than int() converts (4,300 digits by default).
+    """``json.loads(line)``, or :class:`ValidationError` naming ``where``: json
+    raises ValueError for an integer of more digits than int() converts, too."""
     try:
-        doc, end = _JSON_DECODER.raw_decode(line)
-    except (ValueError, RecursionError):
-        end = -1
-    if end != len(line):
-        try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"{where}: not JSON: {exc}") from exc
-    return doc
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{where}: not JSON: {exc}") from exc
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
-    """Yield ``("<path>:<line>", document)`` for each non-blank line.
-
-    An unreadable file, bytes that are not UTF-8 and a line that is not
-    JSON each raise :class:`ValidationError` naming the path.  Only JSON's
-    own whitespace is stripped, so a line that ``json.loads`` rejects, such
-    as one ending in a vertical tab or U+2028, is not JSON here either.
-    """
+    """Yield ``("<path>:<line>", document)`` for each non-blank line; an
+    unreadable file, bytes that are not UTF-8 and a line that is not JSON
+    (as ``json.loads`` has it: only JSON's own whitespace is stripped) each
+    raise :class:`ValidationError` naming the path."""
     prefix = f"{path}:"
     for line_no, line in _lines(path):
         where = f"{prefix}{line_no}"
@@ -419,8 +375,8 @@ def _from_shape(fields: tuple, gamma: str, obs_id: str, rho: str, tick: str) -> 
 
 
 def _learn(shape: tuple, record: TraceRecord, *texts: str) -> None:
-    """Judge a shape on its second sighting: the line of that shape the
-    checked path decoded to ``record``, with per-step value ``texts``."""
+    """Judge a shape on its second sighting: the line of that shape that
+    ``from_wire`` decoded to ``record``, with per-step value ``texts``."""
     (_, _, category, level, time_sensitivity, feasibility, _, criticality, _, character,
      alarm, recipients, t_total, fallback, text) = record
     fields = (
@@ -443,17 +399,17 @@ def _learn(shape: tuple, record: TraceRecord, *texts: str) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """Parse a trace log written by :func:`write_trace`.
+    """Parse a trace log written by :func:`write_trace`: each line gives the
+    record, or the :class:`ValidationError`, that ``json.loads`` and
+    :meth:`TraceRecord.from_wire` give.
 
-    Every file reads as ``json.loads`` plus :meth:`TraceRecord.from_wire`
-    read each line: the same records, or the same :class:`ValidationError`.
     A line the writer built from fragments is recognised by its shape, the
     text around its tick, obs_id, rho and gamma, and decoded from the fields
     kept for that shape, with only those four values parsed.  A shape is
-    kept (at most 1,024 of them) once the checked path has decoded a line of
-    it twice and found it to be the writer's fragments for the fields it
-    decoded.  Any other line, or one whose per-step values are not written
-    exactly as the writer writes them, takes the checked path.
+    kept (at most 1,024 of them) once ``from_wire`` has decoded a line of it
+    twice and found it to be the writer's fragments for those fields.  Any
+    other line, or one whose per-step values are not written exactly as the
+    writer writes them, goes through ``json.loads`` and ``from_wire``.
     """
     records: list[TraceRecord] = []
     append, shapes, seen = records.append, _SHAPES, _SEEN

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from hazcom import builtin_suite, save_scenarios
+from hazcom import builtin_suite, read_trace, save_scenarios
 from hazcom.cli import EXIT_CLEAN, EXIT_CONFIG, EXIT_VIOLATION, main
 
 
@@ -145,6 +146,45 @@ class TestCompare:
         code = main(["compare", "--backend", "scripted"])
         assert code == EXIT_CONFIG
         assert "exactly two" in capsys.readouterr().err
+
+
+class TestTraceFiles:
+    def test_names_outside_the_safe_set_are_percent_encoded(self, tmp_path, capsys):
+        # A remote backend spec holds ':' and '/', and so may a scenario id;
+        # each name stays one path component, and an unreachable backend's
+        # fallback traces verify and replay.
+        scenarios = [
+            dataclasses.replace(s, scenario_id=scenario_id)
+            for s, scenario_id in zip(builtin_suite(), ["a/b", "S2 ~%", "S3-plain_1.x"])
+        ]
+        suite = tmp_path / "suite.jsonl"
+        save_scenarios(suite, scenarios)
+        trace_dir = tmp_path / "traces"
+        remote = "remote:http://127.0.0.1:9/assess"
+        code = main(["run", "--scenarios", str(suite), "--backend", remote,
+                     "--backend", "scripted", "--trace", str(trace_dir),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == EXIT_CLEAN
+        remote_name = "remote%3Ahttp%3A%2F%2F127.0.0.1%3A9%2Fassess"
+        assert sorted(p.name for p in trace_dir.iterdir()) == sorted(
+            f"{backend}__{scenario}.jsonl"
+            for backend in (remote_name, "scripted")
+            for scenario in ("a%2Fb", "S2%20%7E%25", "S3-plain_1.x")
+        )
+        for path in trace_dir.iterdir():
+            assert main(["verify", str(path)]) == EXIT_CLEAN
+            assert main(["replay", str(path)]) == EXIT_CLEAN
+        fallbacks = [r.fallback for r in read_trace(trace_dir / f"{remote_name}__a%2Fb.jsonl")]
+        assert fallbacks and all(fallbacks)
+
+    def test_unwritable_trace_directory_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["run", "--trace", str(blocker / "traces"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyAndReplay:

@@ -284,10 +284,14 @@ class TestObjectiveLoss:
             hazard_record(9.0, HazardCategory.SHARP_OBJECT, tick=0),
             hazard_record(9.0, HazardCategory.SHARP_OBJECT, tick=30),
             hazard_record(9.0, HazardCategory.SHARP_OBJECT, tick=300),
+            hazard_record(9.0, HazardCategory.SHARP_OBJECT, tick=350),
+            hazard_record(9.0, HazardCategory.SHARP_OBJECT, tick=401),
         ]
-        truth = [truth_for(HazardCategory.SHARP_OBJECT, Criticality.HIGH)] * 3
+        truth = [truth_for(HazardCategory.SHARP_OBJECT, Criticality.HIGH)] * 5
         loss = objective_loss(trace, truth, 1.0, t_max=400, suppression_window=50)
-        assert loss.l_fatigue == 1.0  # only the tick-30 repeat is inside the window
+        # The repeats at tick 30 and at tick 350, exactly one window after the
+        # last, are inside the window; the one a tick later still is not.
+        assert loss.l_fatigue == 2.0
 
     def test_decomposition_exact(self):
         account = LossAccount(l_hazard=5.0, l_fatigue=3.0, fatigue_lambda=2.0)

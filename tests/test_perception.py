@@ -274,6 +274,13 @@ class TestObjectBaseline:
     def test_unknown_object_absent(self):
         assert baseline_object_assess(make_obs([("chair", "tipped")])) is None
 
+    def test_tie_goes_to_the_earlier_entity(self):
+        # A bag and a package both score 6.0; the rationale names the first seen.
+        for first, second in (("bag", "package"), ("package", "bag")):
+            result = baseline_object_assess(make_obs([(first, "left"), (second, "left")]))
+            assert result.risk.value == 6.0
+            assert result.rationale.startswith(f"object-identity policy: {first!r} ")
+
     def test_toy_gun_false_escalation(self):
         # The deliberate failure mode: object identity cannot see the packaging.
         obs = make_obs([("toy gun", "toy-packaging")])
