@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from typing import Protocol
 
+from .core import check_ticks
+
 TICKS_PER_SECOND = 10
 
 
@@ -39,8 +41,7 @@ class VirtualClock:
         return self._now
 
     def advance(self, ticks: int) -> None:
-        if ticks < 0:
-            raise ValueError(f"cannot advance clock by {ticks} ticks")
+        check_ticks("clock advance", ticks)
         self._now += ticks
 
 
@@ -59,5 +60,4 @@ class WallClock:
         return int((time.monotonic() - self._origin) * TICKS_PER_SECOND)
 
     def advance(self, ticks: int) -> None:
-        if ticks < 0:
-            raise ValueError(f"cannot advance clock by {ticks} ticks")
+        check_ticks("clock advance", ticks)

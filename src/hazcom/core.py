@@ -54,6 +54,13 @@ def check_fields(doc: object, fields: FieldTable, what: str,
     return doc
 
 
+def check_ticks(name: str, value: object) -> None:
+    """Refuse a tick count that is not a non-negative ``int``: a bool, a float
+    and NaN each raise :class:`ValidationError`."""
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @cache
 def members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:
     """The members of ``enum_cls`` by canonical label; built once per enum."""

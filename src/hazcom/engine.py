@@ -38,6 +38,7 @@ from .core import (
     ValidationError,
     assemble_output,
     band_risk,
+    check_ticks,
     enum_from_label,
     members_by_label,
     policy_output,
@@ -64,8 +65,7 @@ class StageTimers:
 
     def __post_init__(self) -> None:
         for name in ("t_camera", "t_heatmap", "t_llm", "t_comm"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            check_ticks(name, getattr(self, name))
 
     @property
     def total(self) -> int:
@@ -75,8 +75,9 @@ class StageTimers:
 
 # The off-nominal timers of a step, one validated instance per distinct
 # value: delays repeat, and a frozen instance can be shared.  ``typed`` keeps
-# an int and an equal float apart; a value that fails validation raises each
-# time, since lru_cache keeps no exceptions.
+# a float equal to a cached int from being served that int's timers: it must
+# reach the constructor and be refused.  A refused value raises each time,
+# since lru_cache keeps no exceptions.
 _stage_timers = lru_cache(maxsize=1024, typed=True)(StageTimers)
 
 

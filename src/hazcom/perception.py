@@ -12,14 +12,13 @@ implementations share that contract:
 ``FaultInjectingBackend`` wraps any backend with seeded delays and failures
 for exercising the engine's budget/fallback path.
 
-Rule matches, object identities and the built-in backends' verdicts are
-memoized in bounded caches; a verdict is shared between callers and is
-immutable.
+Each built-in backend builds a finished verdict once, in one memo: a rule
+table's by entity and context, the object baseline's by label, and the
+location baseline's at import.  A verdict is shared and immutable.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from .core import (
     ConfigurationError,
     band_risk,
     check_fields,
+    check_ticks,
     enum_from_label,
 )
 
@@ -70,8 +70,8 @@ class InjectedFault(BackendError):
     """Deliberate failure raised by the fault-injection wrapper."""
 
 
-#: Entries each perception memo keeps at most: a rule table's matches, the
-#: shared verdicts, and the baselines' object identities.
+#: Entries each perception memo keeps at most: a rule table's rules and
+#: verdicts, and the object baseline's verdicts and identities.
 MEMO_SIZE = 1024
 
 
@@ -193,6 +193,21 @@ class Rule:
             return False
         return True
 
+    def verdict(self, entity: Entity, env: EnvContext) -> Optional[HazardAssessment]:
+        """The verdict this rule gives ``entity`` in ``env``; None if benign."""
+        emission = self.emission
+        if emission is None:
+            return None
+        return HazardAssessment(
+            emission.category,
+            ContextFactors(emission.level, emission.time_sensitivity, emission.feasibility),
+            emission.risk,
+            f"{entity.object_label!r} ({entity.attribute or 'no attribute'}) in the "
+            f"{env.location_type._value_} matched rule "
+            f"{self.object_pattern}|{self.attribute_pattern} -> "
+            f"{emission.category._value_}/{emission.level._value_}",
+        )
+
 
 @dataclass(frozen=True)
 class RuleTable:
@@ -227,31 +242,33 @@ class RuleTable:
             )
 
     def match(self, entity: Entity, env: EnvContext) -> Rule:
-        """The first rule matching ``entity`` in ``env``.
+        """The first rule matching ``entity`` in ``env``."""
+        return self._entry(entity, env)[0]
 
-        Memoized per table by everything a rule tests: the entity's label and
-        attribute and the three context fields.  The memo keeps at most
-        ``MEMO_SIZE`` entries and starts over when full; a context whose
-        fields cannot be hashed is scanned without it.
-        """
+    def _entry(self, entity: Entity, env: EnvContext) -> tuple[Rule, Optional[HazardAssessment]]:
+        """The first rule matching ``entity`` in ``env`` and the verdict it gives,
+        memoized per table by everything a rule tests or a rationale names: the
+        label, the attribute and the three context fields.  The memo keeps at
+        most ``MEMO_SIZE`` entries and starts over when full; a context whose
+        fields cannot be hashed is scanned without it."""
         key = (entity.object_label, entity.attribute,
                env.location_type, env.crowd_density, env.vulnerable_present)
         memo = self._memo
         try:
-            rule = memo.get(key)
+            entry = memo.get(key)
         except TypeError:  # an unhashable context field
             return self._scan(entity, env)
-        if rule is None:
-            rule = self._scan(entity, env)
+        if entry is None:
+            entry = self._scan(entity, env)
             if len(memo) >= MEMO_SIZE:
                 memo.clear()
-            memo[key] = rule
-        return rule
+            memo[key] = entry
+        return entry
 
-    def _scan(self, entity: Entity, env: EnvContext) -> Rule:
+    def _scan(self, entity: Entity, env: EnvContext) -> tuple[Rule, Optional[HazardAssessment]]:
         for rule in self.rules:
             if rule.matches(entity, env):
-                return rule
+                return rule, rule.verdict(entity, env)
         raise AssertionError("unreachable: catch-all rule matches everything")
 
     @classmethod
@@ -343,60 +360,15 @@ def scripted_assess(table: RuleTable, obs: Observation) -> Optional[HazardAssess
 
     Each entity takes its first matching rule; when several entities emit a
     hazard, the highest risk score wins (ties: earliest entity).  Total:
-    returns None, never raises, for any well-formed observation.  Equal
-    verdicts are one shared, immutable assessment.
+    returns None, never raises, for any well-formed observation.  Each
+    verdict is one shared, immutable assessment from the table's memo.
     """
-    best: tuple[Entity, Rule] | None = None
+    best = None
     for entity in obs.salient_entities:
-        rule = table.match(entity, obs.env)
-        if rule.emission is None:
-            continue
-        if best is None or rule.emission.risk.value > best[1].emission.risk.value:
-            best = (entity, rule)
-    if best is None:
-        return None
-    entity, rule = best
-    emission = rule.emission
-    assert emission is not None
-    rationale = (
-        f"{entity.object_label!r} ({entity.attribute or 'no attribute'}) in the "
-        f"{obs.env.location_type._value_} matched rule "
-        f"{rule.object_pattern}|{rule.attribute_pattern} -> "
-        f"{emission.category._value_}/{emission.level._value_}"
-    )
-    return _shared_assessment(
-        emission.category, emission.level, emission.time_sensitivity,
-        emission.feasibility, emission.risk.value, rationale,
-    )
-
-
-def _shared_assessment(
-    category: HazardCategory,
-    level: Criticality,
-    time_sensitivity: TimeSensitivity,
-    feasibility: Feasibility,
-    score: float,
-    rationale: str,
-) -> HazardAssessment:
-    """The validated assessment with these contents, built once and shared.
-
-    Memoized in a bounded cache of immutable verdicts.  The key keeps the
-    score's sign, as ``-0.0`` and ``0.0`` serialize apart.
-    """
-    return _verdict(category, level, time_sensitivity, feasibility,
-                    score, math.copysign(1.0, score), rationale)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _verdict(category: HazardCategory, level: Criticality, time_sensitivity: TimeSensitivity,
-             feasibility: Feasibility, score: float, sign: float,
-             rationale: str) -> HazardAssessment:
-    return HazardAssessment(
-        category=category,
-        factors=ContextFactors(level, time_sensitivity, feasibility),
-        risk=RiskScore(score),
-        rationale=rationale,
-    )
+        verdict = table._entry(entity, obs.env)[1]
+        if verdict is not None and (best is None or verdict.risk.value > best.risk.value):
+            best = verdict
+    return best
 
 
 class ScriptedBackend:
@@ -444,29 +416,35 @@ def _object_identity(label: str) -> tuple[HazardCategory, Criticality, float] | 
     return None
 
 
+def _fixed_verdict(category: HazardCategory, level: Criticality, score: float,
+                   rationale: str) -> HazardAssessment:
+    """A baseline's verdict: the level's fixed time sensitivity and feasibility."""
+    return HazardAssessment(category, ContextFactors(level, *_FACTORS_BY_LEVEL[level]),
+                            RiskScore(score), rationale)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _object_verdict(label: str) -> Optional[HazardAssessment]:
+    hit = _object_identity(label)
+    if hit is None:
+        return None
+    category, level, score = hit
+    return _fixed_verdict(category, level, score, f"object-identity policy: {label!r} "
+                          f"is always {level._value_}, context ignored")
+
+
 def baseline_object_assess(obs: Observation) -> Optional[HazardAssessment]:
     """Fixed criticality by object identity alone; context is ignored.
 
     A knife grades High wherever it is seen.  Unrecognized labels are not
-    reported.
+    reported; of several hazards the highest score wins (ties: earliest).
     """
-    best: tuple[Entity, HazardCategory, Criticality, float] | None = None
+    best = None
     for entity in obs.salient_entities:
-        hit = _object_identity(entity.object_label)
-        if hit is None:
-            continue
-        category, level, score = hit
-        if best is None or score > best[3]:
-            best = (entity, category, level, score)
-    if best is None:
-        return None
-    entity, category, level, score = best
-    tau, phi = _FACTORS_BY_LEVEL[level]
-    return _shared_assessment(
-        category, level, tau, phi, score,
-        f"object-identity policy: {entity.object_label!r} is always "
-        f"{level._value_}, context ignored",
-    )
+        verdict = _object_verdict(entity.object_label)
+        if verdict is not None and (best is None or verdict.risk.value > best.risk.value):
+            best = verdict
+    return best
 
 
 # Location policy: fixed criticality per location type, regardless of hazard.
@@ -478,6 +456,16 @@ _LOCATION_POLICY = {
     LocationType.RESTRICTED_AREA: Criticality.HIGH,
 }
 
+# Every verdict the location policy gives, by (category, location).
+_LOCATION_VERDICTS = {
+    (category, location): _fixed_verdict(
+        category, level, REPRESENTATIVE_RISK[level],
+        f"location policy: anything in the {location._value_} is {level._value_}",
+    )
+    for category in HazardCategory
+    for location, level in _LOCATION_POLICY.items()
+}
+
 
 def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     """Fixed criticality looked up from the location type alone.
@@ -485,22 +473,11 @@ def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     The hazard category still comes from object identity, but the grade is
     the location's: any hazard in a kitchen is Low, any in a corridor High.
     """
-    detected: tuple[Entity, HazardCategory] | None = None
     for entity in obs.salient_entities:
         hit = _object_identity(entity.object_label)
         if hit is not None:
-            detected = (entity, hit[0])
-            break
-    if detected is None:
-        return None
-    entity, category = detected
-    level = _LOCATION_POLICY[obs.env.location_type]
-    tau, phi = _FACTORS_BY_LEVEL[level]
-    return _shared_assessment(
-        category, level, tau, phi, REPRESENTATIVE_RISK[level],
-        f"location policy: anything in the {obs.env.location_type._value_} "
-        f"is {level._value_}",
-    )
+            return _LOCATION_VERDICTS[hit[0], obs.env.location_type]
+    return None
 
 
 class ObjectBaselineBackend:
@@ -665,7 +642,8 @@ class RemoteBackend:
     """Deadline-bounded remote assessment client.
 
     Without a custom ``transport`` the endpoint must be an ``http://`` URL
-    with a host; any other raises ConfigurationError here, not on each step.
+    with a host, and the timeout must be positive; anything else raises
+    ConfigurationError here, not on each step.
     """
 
     def __init__(
@@ -676,6 +654,8 @@ class RemoteBackend:
     ) -> None:
         if transport is None:
             _http.parse_url(endpoint)
+        if not timeout_ticks > 0:
+            raise ConfigurationError(f"timeout must be positive, got {timeout_ticks}")
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
         self._transport = transport
@@ -697,12 +677,9 @@ class FaultProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.added_delay < 0:
-            raise ValidationError(f"added_delay {self.added_delay} must be >= 0")
+        check_ticks("added_delay", self.added_delay)
         if not (0.0 <= self.failure_rate <= 1.0):
-            raise ValidationError(
-                f"failure_rate {self.failure_rate} outside [0, 1]"
-            )
+            raise ValidationError(f"failure_rate {self.failure_rate} outside [0, 1]")
 
 
 class FaultInjectingBackend:
@@ -735,7 +712,5 @@ class FaultInjectingBackend:
         if self.profile.added_delay:
             self._clock.advance(self.profile.added_delay)
         if self.profile.failure_rate and self._rng.random() < self.profile.failure_rate:
-            raise InjectedFault(
-                f"injected failure (rate={self.profile.failure_rate})"
-            )
+            raise InjectedFault(f"injected failure (rate={self.profile.failure_rate})")
         return self.inner.assess(obs)

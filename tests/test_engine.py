@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import deque
 
@@ -27,6 +28,7 @@ from hazcom import (
 )
 from hazcom.clock import VirtualClock, WallClock, seconds_to_ticks, ticks_to_seconds
 from hazcom.core import EnvContext
+from hazcom.engine import _stage_timers
 from hazcom.perception import (
     BackendError,
     FaultProfile,
@@ -49,6 +51,25 @@ class TestClock:
         assert clock.now == 7
         with pytest.raises(ValueError):
             clock.advance(-1)
+
+    @pytest.mark.parametrize("ticks", [2.5, math.nan, True])
+    def test_clocks_advance_by_whole_ticks_only(self, ticks):
+        for clock in (VirtualClock(), WallClock()):
+            with pytest.raises(ValidationError, match="clock advance"):
+                clock.advance(ticks)
+
+    def test_fractional_backend_delay_falls_back(self, s1_obs, scripted):
+        # The refused advance is the backend's exception, so it cannot cross
+        # Engine.step or put a fractional tick on the record.
+        engine = Engine()
+
+        class Fractional:
+            def assess(self, obs):
+                engine.clock.advance(2.5)
+                return scripted.assess(obs)
+
+        record = engine.step(s1_obs, Fractional()).record
+        assert (record.fallback, record.t_total) == (True, 120)
 
     def test_wall_clock_reads_monotonic(self):
         clock = WallClock()
@@ -75,6 +96,19 @@ class TestStageTimers:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             StageTimers(-1, 0, 0, 0)
+
+    @pytest.mark.parametrize("ticks", [2.5, 95.0, math.nan, math.inf, True, None])
+    def test_non_integer_rejected(self, ticks):
+        # A fractional or NaN stage time would put it on every record's t_total.
+        with pytest.raises(ValidationError, match="t_llm must be a non-negative integer"):
+            StageTimers(t_llm=ticks)
+        with pytest.raises(ValidationError):
+            EngineConfig(timers=StageTimers(t_comm=ticks))
+
+    def test_float_equal_to_a_cached_int_is_refused(self):
+        assert _stage_timers(10, 15, 345, 0) == StageTimers(10, 15, 345, 0)
+        with pytest.raises(ValidationError):
+            _stage_timers(10, 15, 345.0, 0)
 
     def test_steps_with_one_delay_share_their_timers(self, s1_obs, scripted):
         def delayed_timers(delay):

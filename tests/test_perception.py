@@ -44,7 +44,7 @@ from hazcom.perception import (
     Rule,
     ScriptedBackend,
     _object_identity,
-    _verdict,
+    _object_verdict,
 )
 
 from conftest import make_obs
@@ -155,6 +155,12 @@ class TestScripted:
         obs = make_obs([("trash", "overflowing"), ("knife", "on-floor")])
         result = scripted_assess(builtin_rule_table(), obs)
         assert result.category is HazardCategory.SHARP_OBJECT
+
+    def test_tie_goes_to_the_earlier_entity(self):
+        # Both labels match the same knife rule; the rationale names the first seen.
+        for first, second in (("knife", "KNIFE"), ("KNIFE", "knife")):
+            result = scripted_assess(builtin_rule_table(), make_obs([(first, ""), (second, "")]))
+            assert result.rationale.startswith(f"{first!r} (no attribute)")
 
     def test_vulnerable_presence_raises_score(self):
         plain = scripted_assess(builtin_rule_table(), make_obs([("knife", "on-floor")]))
@@ -383,6 +389,12 @@ class TestFaultInjection:
         with pytest.raises(ValidationError):
             FaultProfile(failure_rate=1.5)
 
+    @pytest.mark.parametrize("delay", [2.5, 3.0, math.nan, True, "3"])
+    def test_delay_must_be_an_integer(self, delay):
+        # A fractional delay would put a fractional tick on the trace.
+        with pytest.raises(ValidationError, match="added_delay must be a non-negative integer"):
+            FaultProfile(added_delay=delay)
+
 
 # --------------------------------------------------------------------------
 # Memoized matching and shared verdicts
@@ -442,7 +454,9 @@ class TestMemoizedMatch:
 
     def test_every_context_on_a_warm_table(self):
         # One table answers every combination twice: a memo key that left
-        # out any field the rules test would hand back a stale rule.
+        # out any field the rules test or the rationale names would hand back
+        # a stale rule or a stale verdict.  A cold table builds each verdict
+        # afresh, rationale included.
         for table in (RuleTable(builtin_rule_table().rules), RuleTable.parse(OTHER_TABLE_TEXT)):
             for _ in range(2):
                 for label, attribute, location, crowd, vulnerable in itertools.product(
@@ -452,6 +466,9 @@ class TestMemoizedMatch:
                     entity = Entity(label, attribute)
                     env = EnvContext(location, crowd, vulnerable)
                     assert table.match(entity, env) is scan(table, entity, env)
+                    obs = make_obs([(label, attribute)], location, crowd, vulnerable)
+                    assert scripted_assess(table, obs) == scripted_assess(
+                        RuleTable(table.rules), obs)
 
     def test_tables_do_not_share_a_memo(self):
         builtin, other = builtin_rule_table(), RuleTable.parse(OTHER_TABLE_TEXT)
@@ -493,6 +510,19 @@ class TestMemoizedMatch:
 
 
 class TestSharedVerdicts:
+    # One exact rationale per backend; no digest holds a rationale.
+    @pytest.mark.parametrize("assess, location, rationale", [
+        (lambda obs: scripted_assess(builtin_rule_table(), obs), LocationType.CORRIDOR,
+         "'Knife' (no attribute) in the Corridor matched rule *knife*|* -> SharpObject/High"),
+        (baseline_object_assess, LocationType.KITCHEN,
+         "object-identity policy: 'Knife' is always High, context ignored"),
+        (baseline_location_assess, LocationType.KITCHEN,
+         "location policy: anything in the Kitchen is Low"),
+    ], ids=["scripted", "object", "location"])
+    def test_exact_rationale(self, assess, location, rationale):
+        obs = make_obs([("lamp", ""), ("Knife", "")], location=location)
+        assert assess(obs).rationale == rationale
+
     def test_equal_verdicts_are_one_object(self, s1_obs):
         assert scripted_assess(builtin_rule_table(), s1_obs) is scripted_assess(
             builtin_rule_table(), s1_obs
@@ -553,7 +583,7 @@ class TestSharedVerdicts:
                 for entity in obs.salient_entities:
                     assert table.match(entity, obs.env) is scan(table, entity, obs.env)
         assert len(table._memo) <= MEMO_SIZE
-        assert _verdict.cache_info().currsize <= MEMO_SIZE
+        assert _object_verdict.cache_info().currsize <= MEMO_SIZE
         assert _object_identity.cache_info().currsize <= MEMO_SIZE
         verdict = scripted_assess(table, obs)
         assert verdict.rationale.startswith(repr(entities[0][0]))

@@ -362,6 +362,13 @@ class TestEndpointValidation:
         with pytest.raises(ConfigurationError):
             NetworkSink(Channel.REMOTE, endpoint)
 
+    @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
+    @pytest.mark.parametrize("transport", [None, lambda *args: VALID_RESPONSE])
+    def test_non_positive_timeout_rejected_when_built(self, timeout, transport):
+        # Built, it would fall back on every step without saying why.
+        with pytest.raises(ConfigurationError, match="timeout must be positive"):
+            RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
+
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT

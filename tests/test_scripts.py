@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts under ``scripts/``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,3 +45,14 @@ def test_fault_sweep_default_grid():
         "    25.0           1.00           37.00    0.000\n"
         "    30.0           1.00           42.00    0.000\n"
     )
+
+
+def test_mutation_check_entries_apply():
+    # Each mutant's old text occurs exactly once, so an edit that moves or
+    # repeats it fails here and not only in the slower mutation step.
+    path = ROOT / "scripts" / "mutation_check.py"
+    spec = importlib.util.spec_from_file_location("mutation_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.problems() == []
+    assert len({mutant.name for mutant in module.MUTANTS}) == len(module.MUTANTS)
