@@ -6,11 +6,13 @@
 A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
-the mutant's test modules against it with ``-x``: on a 2-CPU machine that
-takes under a minute, and running the whole test suite per mutant instead
-takes about three.  The golden-digest tests are deselected: a digest fails
-on almost any change, and a re-pin regenerates it on purpose, so a mutant
-counts as killed only by a test that names the behaviour it broke.
+the mutant's tests against it with ``-x``: a test module, or a class or
+test in one, as pytest names them.  On a 2-CPU machine the 28 mutants take
+about two and a half minutes, where running the whole test suite per mutant
+took about three for the first 17.
+The golden-digest tests are deselected: a digest fails on almost any
+change, and a re-pin regenerates it on purpose, so a mutant counts as
+killed only by a test that names the behaviour it broke.
 
 The unmutated sources are run through the same tests first, so that a
 failing suite cannot pass for a killed mutant.  Exits 0 when every mutant is
@@ -37,10 +39,13 @@ class Mutant(NamedTuple):
     file: str  # under src/hazcom
     old: str
     new: str
-    tests: tuple[str, ...]  # the test modules that should kill it
+    tests: tuple[str, ...]  # the tests that should kill it, as pytest names them
 
 
 _PERCEPTION = ("tests/test_perception.py",)
+_WRITER = "tests/test_trace_codec.py::TestWriterExactness::"
+_READER = "tests/test_trace_codec.py::TestReaderAgreesWithCheckedPath::"
+_RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
 
 MUTANTS = (
     Mutant("memo key drops the label", "perception.py",
@@ -98,19 +103,47 @@ MUTANTS = (
     Mutant("repeat exactly one window later is not fatigue", "metrics.py",
            "record.tick - previous <= suppression_window",
            "record.tick - previous < suppression_window", ("tests/test_metrics.py",)),
+    Mutant("shape reader takes a non-finite score", "engine.py",
+           "value if value - value == 0.0 and repr(value) == text else",
+           "value if repr(value) == text else", _RESPELT),
+    Mutant("shape reader takes a score spelt otherwise", "engine.py",
+           "value if value - value == 0.0 and repr(value) == text else",
+           "value if value - value == 0.0 else", _RESPELT),
+    Mutant("shape reader takes a tick spelt otherwise", "engine.py",
+           "if str(t) == tick and obs_id.isascii()", "if obs_id.isascii()", _RESPELT),
+    Mutant("shape reader takes a non-ASCII obs_id", "engine.py",
+           "obs_id.isascii() and obs_id.isprintable()", "obs_id.isprintable()", _RESPELT),
+    Mutant("shape reader takes an unprintable obs_id", "engine.py",
+           "obs_id.isascii() and obs_id.isprintable() and", "obs_id.isascii() and", _RESPELT),
+    Mutant("shape reader takes an escaped obs_id", "engine.py",
+           r'obs_id.isprintable() and "\\" not in obs_id', "obs_id.isprintable()", _RESPELT),
+    Mutant("shape reader takes a line not ending its object", "engine.py",
+           'if line[-1] == "}":', "if True:",
+           (_READER + "test_a_line_without_its_closing_brace_is_not_json",)),
+    Mutant("shape table never cleared", "engine.py", "_SHAPES.clear()", "pass",
+           (_READER + "test_shape_table_stays_bounded_and_unpoisoned",)),
+    Mutant("writer's fragments take a non-finite risk", "engine.py",
+           "type(rho) is float and rho - rho == 0.0", "type(rho) is float",
+           (_WRITER + "test_every_line_is_the_encoders",)),
+    Mutant("writer's fragments take an int alarm", "engine.py",
+           "and type(alarm) is bool and", "and",
+           (_WRITER + "test_equal_values_of_other_types_get_their_own_line",)),
+    Mutant("writer's fragments take a float t_total", "engine.py",
+           "and type(t_total) is int and", "and",
+           (_WRITER + "test_equal_values_of_other_types_get_their_own_line",)),
 )
 
 
 def problems() -> list[str]:
     """Why each mutant that does not apply cannot: its old text must occur
-    exactly once in its file, and its test modules must exist."""
+    exactly once in its file, and the modules of its tests must exist."""
     found = []
     for mutant in MUTANTS:
         count = (ROOT / "src" / "hazcom" / mutant.file).read_text("utf-8").count(mutant.old)
         if count != 1:
             found.append(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
-        found += [f"{mutant.name}: no test module {test}"
-                  for test in mutant.tests if not (ROOT / test).is_file()]
+        found += [f"{mutant.name}: no test module {test}" for test in mutant.tests
+                  if not (ROOT / test.partition("::")[0]).is_file()]
     return found
 
 

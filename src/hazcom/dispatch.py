@@ -75,8 +75,9 @@ class NetworkSink:
     """Posts the wire document to an HTTP endpoint.
 
     Transport failures become failure records; no exception escapes a
-    delivery attempt.  An endpoint that is not an ``http://`` URL with a host
-    raises ConfigurationError when the sink is built.
+    delivery attempt.  An endpoint that is not an ``http://`` URL with a host,
+    or a timeout that is not positive, raises ConfigurationError when the
+    sink is built.
     """
 
     channel: Channel
@@ -85,6 +86,8 @@ class NetworkSink:
 
     def __post_init__(self) -> None:
         _http.parse_url(self.endpoint)
+        if not self.timeout_ticks > 0:
+            raise ConfigurationError(f"timeout must be positive, got {self.timeout_ticks}")
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
         try:

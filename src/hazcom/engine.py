@@ -236,20 +236,21 @@ _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 _PER_STEP_FIELDS = (("gamma", "null"), ("obs_id", '""'), ("rho", "null"), ("tick", "0"))
 
 
+def _record(fields: tuple, gamma, obs_id, rho, tick) -> TraceRecord:
+    """The record of a line with these per-step values whose other fields,
+    its shape fields, are ``fields``: ``(record[2:6], record[7], record[9:])``."""
+    labels, criticality, rest = fields
+    return tuple.__new__(TraceRecord, (tick, obs_id, *labels, rho, criticality, gamma, *rest))
+
+
 @lru_cache(maxsize=1024)
-def _line_fragments(
-    category, level, time_sensitivity, feasibility, criticality, character,
-    alarm, recipients, t_total, fallback, text,
-) -> tuple[str, str, str, str, str]:
-    """The encoder's line for a record with these fields, cut where gamma,
-    obs_id, rho and tick go: five fragments, the last ending the line.
+def _line_fragments(fields: tuple) -> tuple[str, str, str, str, str]:
+    """The encoder's line for a record with these shape fields, cut where
+    gamma, obs_id, rho and tick go: five fragments, the last ending the line.
 
     Searching for ``"key": value`` finds the key itself, because every
     quote inside an encoded string value is escaped."""
-    line = _TRACE_ENCODER.encode(TraceRecord(
-        0, "", category, level, time_sensitivity, feasibility, None, criticality,
-        None, character, alarm, recipients, t_total, fallback, text,
-    ).to_wire())
+    line = _TRACE_ENCODER.encode(_record(fields, None, "", None, 0).to_wire())
     fragments = []
     for key, placeholder in _PER_STEP_FIELDS:
         head, _, line = line.partition(f'"{key}": {placeholder}')
@@ -270,8 +271,7 @@ def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
     encode, fragments, quote = _TRACE_ENCODER.encode, _line_fragments, encode_basestring_ascii
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
-            (tick, obs_id, category, level, time_sensitivity, feasibility, rho,
-             criticality, gamma, character, alarm, recipients, t_total, fallback,
+            (tick, obs_id, _, _, _, _, rho, _, gamma, _, alarm, recipients, t_total, fallback,
              text) = record
             if (type(tick) is int and type(obs_id) is str
                     and (rho is None or type(rho) is float and rho - rho == 0.0)
@@ -280,8 +280,7 @@ def write_trace(path: str | Path, records: Iterable[TraceRecord]) -> None:
                     and type(t_total) is int and type(fallback) is bool
                     and (text is None or type(text) is str)):
                 head, after_gamma, after_id, after_rho, tail = fragments(
-                    category, level, time_sensitivity, feasibility, criticality,
-                    character, alarm, recipients, t_total, fallback, text,
+                    (record[2:6], record[7], record[9:])
                 )
                 fh.write(
                     f"{head}{'null' if gamma is None else gamma}{after_gamma}"
@@ -327,16 +326,12 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
 
 
 # The reader's side of the fragment cache.  A line is cut at its per-step
-# values, and the four segments before them are its shape.  _SHAPES maps
-# the shape of a line the writer built from fragments to the fields those
-# fragments hold, as (category, d, tau, phi), k and (chi, alarm, recipients,
-# t_total, fallback, text); it maps a shape found not to be the writer's to
-# ().  A shape seen once waits in _SEEN and is judged on its second
-# sighting, so a stream whose lines never repeat adds no shape and encodes
-# nothing.  Each holds at most _SHAPES_SIZE entries and is cleared when full.
+# values, and the four segments before them are its shape.  _SHAPES maps the
+# shape of the line write_trace writes for some shape fields, learnt from a
+# record from_wire decoded, to those fields.  It holds at most _SHAPES_SIZE
+# entries and is cleared when full.
 _SHAPES_SIZE = 1024
 _SHAPES: dict[tuple[str, str, str, str], tuple] = {}
-_SEEN: set[tuple[str, str, str, str]] = set()
 _GAMMA_AT, _OBS_ID_AT, _RHO_AT, _TICK_AT = (f'"{key}": ' for key, _ in _PER_STEP_FIELDS)
 _OBS_ID_AT += '"'  # obs_id's quotes belong to the segments around it
 _GAMMA_LEN, _OBS_ID_LEN, _RHO_LEN, _TICK_LEN = map(len, (_GAMMA_AT, _OBS_ID_AT, _RHO_AT, _TICK_AT))
@@ -370,33 +365,21 @@ def _from_shape(fields: tuple, gamma: str, obs_id: str, rho: str, tick: str) -> 
     except ValueError:
         return None
     if str(t) == tick and obs_id.isascii() and obs_id.isprintable() and "\\" not in obs_id:
-        labels, criticality, rest = fields
-        return tuple.__new__(TraceRecord, (t, obs_id, *labels, r, criticality, g, *rest))
+        return _record(fields, g, obs_id, r, t)
     return None
 
 
-def _learn(shape: tuple, record: TraceRecord, *texts: str) -> None:
-    """Judge a shape on its second sighting: the line of that shape that
-    ``from_wire`` decoded to ``record``, with per-step value ``texts``."""
-    (_, _, category, level, time_sensitivity, feasibility, _, criticality, _, character,
-     alarm, recipients, t_total, fallback, text) = record
-    fields = (
-        (category, level, time_sensitivity, feasibility), criticality,
-        (character, alarm, recipients, t_total, fallback, text),
-    )
-    # With its values written as the writer writes them, the line's fields
-    # follow from its shape alone, so the verdict holds for the shape.
-    if _from_shape(fields, *texts) is None:
-        return
-    _SEEN.discard(shape)
-    head, after_gamma, after_id, after_rho, tail = _line_fragments(
-        category, level, time_sensitivity, feasibility, criticality, character,
-        alarm, recipients, t_total, fallback, text,
-    )
-    writers = shape == (head, f'{after_gamma}"', f'"{after_id}', after_rho) and tail == "}\n"
-    if len(_SHAPES) >= _SHAPES_SIZE:
-        _SHAPES.clear()
-    _SHAPES[shape] = fields if writers else ()
+def _learn(record: TraceRecord) -> None:
+    """Keep the shape of the line :func:`write_trace` writes for the shape
+    fields of ``record``, which ``from_wire`` decoded.  Tick, the last key,
+    ends the line, so the fragment after it is always ``}``."""
+    fields = (record[2:6], record[7], record[9:])
+    head, after_gamma, after_id, after_rho, _ = _line_fragments(fields)
+    shape = (head, f'{after_gamma}"', f'"{after_id}', after_rho)
+    if shape not in _SHAPES:
+        if len(_SHAPES) >= _SHAPES_SIZE:
+            _SHAPES.clear()
+        _SHAPES[shape] = fields
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
@@ -406,17 +389,16 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
 
     A line the writer built from fragments is recognised by its shape, the
     text around its tick, obs_id, rho and gamma, and decoded from the fields
-    kept for that shape, with only those four values parsed.  A shape is
-    kept (at most 1,024 of them) once ``from_wire`` has decoded a line of it
-    twice and found it to be the writer's fragments for those fields.  Any
-    other line, or one whose per-step values are not written exactly as the
-    writer writes them, goes through ``json.loads`` and ``from_wire``.
+    kept for that shape, with only those four values parsed.  Each record
+    ``from_wire`` decodes keeps the shape of the writer's line for its
+    fields (at most 1,024 shapes).  Any other line, or one whose per-step
+    values are not written exactly as the writer writes them, goes through
+    ``json.loads`` and ``from_wire``.
     """
     records: list[TraceRecord] = []
-    append, shapes, seen = records.append, _SHAPES, _SEEN
+    append, shapes = records.append, _SHAPES
     prefix = f"{path}:"
     for line_no, line in _lines(path):
-        fields = ()
         if line[-1] == "}":
             # A find that fails leaves some segment shorter than the marker
             # its kept counterpart ends in; so in a line of a kept shape
@@ -430,22 +412,15 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             e = find(_RHO_AT, d) + _RHO_LEN
             f = find(",", e)
             g = line.rfind(_TICK_AT, f) + _TICK_LEN
-            shape = (line[:a], line[b:c], line[d:e], line[f:g])
-            fields = shapes.get(shape)
-            if fields:
+            fields = shapes.get((line[:a], line[b:c], line[d:e], line[f:g]))
+            if fields is not None:
                 record = _from_shape(fields, line[a:b], line[c:d], line[e:f], line[g:-1])
                 if record is not None:
                     append(record)
                     continue
         where = f"{prefix}{line_no}"
         record = TraceRecord.from_wire(_document(line, where), where)
-        if fields is None:
-            if shape in seen:
-                _learn(shape, record, line[a:b], line[c:d], line[e:f], line[g:-1])
-            else:
-                if len(seen) >= _SHAPES_SIZE:
-                    seen.clear()
-                seen.add(shape)
+        _learn(record)
         append(record)
     return records
 

@@ -108,8 +108,7 @@ class Observation:
     def __post_init__(self) -> None:
         if not self.scene_caption:
             raise ValidationError("scene caption must be non-empty")
-        if self.timestamp < 0:
-            raise ValidationError(f"timestamp {self.timestamp} must be >= 0")
+        check_ticks("timestamp", self.timestamp)
         object.__setattr__(self, "salient_entities", tuple(self.salient_entities))
 
 

@@ -55,9 +55,12 @@ class TestObservation:
         with pytest.raises(ValidationError, match="caption"):
             make_obs(caption="")
 
-    def test_rejects_negative_timestamp(self):
-        with pytest.raises(ValidationError):
-            make_obs(timestamp=-1)
+    @pytest.mark.parametrize("timestamp", [-1, 2.5, True, float("nan")])
+    def test_rejects_a_timestamp_that_is_no_tick_count(self, timestamp):
+        # The remote wire refuses each, so such an observation could only
+        # ever fall back.
+        with pytest.raises(ValidationError, match="timestamp must be a non-negative integer"):
+            make_obs(timestamp=timestamp)
 
     def test_entity_label_required(self):
         with pytest.raises(ValidationError):

@@ -365,9 +365,12 @@ class TestEndpointValidation:
     @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
     @pytest.mark.parametrize("transport", [None, lambda *args: VALID_RESPONSE])
     def test_non_positive_timeout_rejected_when_built(self, timeout, transport):
-        # Built, it would fall back on every step without saying why.
+        # Built, the backend would fall back on every step without saying
+        # why, and the sink would post with a deadline already passed.
         with pytest.raises(ConfigurationError, match="timeout must be positive"):
             RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
+        with pytest.raises(ConfigurationError, match="timeout must be positive"):
+            NetworkSink(Channel.REMOTE, "http://127.0.0.1:9/assess", timeout_ticks=timeout)
 
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
