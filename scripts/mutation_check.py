@@ -7,9 +7,9 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 28 mutants take
-about two and a half minutes, where running the whole test suite per mutant
-took about three for the first 17.
+test in one, as pytest names them.  On a 2-CPU machine the 51 mutants take
+about three minutes (2 min 49 s), where running the whole test suite per
+mutant took about three for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
 killed only by a test that names the behaviour it broke.
@@ -46,6 +46,9 @@ _PERCEPTION = ("tests/test_perception.py",)
 _WRITER = "tests/test_trace_codec.py::TestWriterExactness::"
 _READER = "tests/test_trace_codec.py::TestReaderAgreesWithCheckedPath::"
 _RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
+_BANDING = ("tests/test_core.py::TestBanding::test_band_examples",)
+_POLICY = "tests/test_core.py::TestCharacterAlarmRecipients::"
+_ORACLE = ("tests/test_oracle.py::TestRulesByExample",)
 
 MUTANTS = (
     Mutant("memo key drops the label", "perception.py",
@@ -131,6 +134,71 @@ MUTANTS = (
     Mutant("writer's fragments take a float t_total", "engine.py",
            "and type(t_total) is int and", "and",
            (_WRITER + "test_equal_values_of_other_types_get_their_own_line",)),
+    Mutant("score 5.0 bands to Low", "core.py",
+           "if risk.value < MEDIUM_RISK_THRESHOLD:", "if risk.value <= MEDIUM_RISK_THRESHOLD:",
+           _BANDING),
+    Mutant("score 8.0 bands to Medium", "core.py",
+           "if risk.value < HIGH_RISK_THRESHOLD:", "if risk.value <= HIGH_RISK_THRESHOLD:",
+           _BANDING),
+    Mutant("alarm only on High", "core.py",
+           "return criticality is not Criticality.LOW", "return criticality is Criticality.HIGH",
+           (_POLICY + "test_alarm_mapping",)),
+    Mutant("Medium routes to nearby alone", "core.py",
+           "Criticality.MEDIUM: CHANNEL_ORDER[:2],", "Criticality.MEDIUM: CHANNEL_ORDER[:1],",
+           (_POLICY + "test_recipient_sets",)),
+    Mutant("tone 10.0 outside the High band", "core.py",
+           "return lo <= tone <= hi", "return lo <= tone < hi",
+           ("tests/test_core.py::TestTone::test_top_of_scale_in_high_band",)),
+    Mutant("Medium character urgent", "core.py",
+           "Criticality.MEDIUM: Character.ALERT,", "Criticality.MEDIUM: Character.URGENT,",
+           (_POLICY + "test_character_mapping",)),
+    Mutant("output memo key drops the score's sign", "core.py",
+           "math.copysign(1.0, value)", "1.0",
+           ("tests/test_core.py::TestAssembleOutput::test_signed_zero_risks_serialize_apart",)),
+    Mutant("cold-start fallback grades High", "engine.py",
+           "else Criticality.MEDIUM", "else Criticality.HIGH",
+           ("tests/test_engine.py::TestStep::test_fallback_cold_start_is_medium",)),
+    Mutant("verdict exactly at the budget falls back", "engine.py",
+           "elif t_total > self.config.t_max:", "elif t_total >= self.config.t_max:",
+           ("tests/test_engine.py::TestStep::"
+            "test_verdict_exactly_at_the_budget_is_not_a_fallback",)),
+    Mutant("no-hazard step charged t_comm", "engine.py",
+           "if timers.t_comm:", "if False:",
+           ("tests/test_engine.py::TestStepBranchesWithCommTime::"
+            "test_no_hazard_charges_no_comm_time",)),
+    Mutant("late verdict's grade forgotten", "engine.py",
+           "self.last_known_criticality = band_risk(assessment.risk)", "pass",
+           ("tests/test_engine.py::TestStepBranchesWithCommTime::"
+            "test_late_verdict_alerts_from_the_previous_grade",)),
+    Mutant("Medium severity weight 1", "metrics.py",
+           "Criticality.MEDIUM: 2.0,", "Criticality.MEDIUM: 1.0,",
+           ("tests/test_metrics.py::TestObjectiveLoss::test_severity_weights",)),
+    Mutant("detection ignores the grade", "metrics.py",
+           "and record.criticality is expected.criticality", "and True",
+           ("tests/test_metrics.py::TestDetectionAccuracy::test_grade_mismatch_counts_zero",)),
+    Mutant("effectiveness unclamped", "metrics.py",
+           "return min(1.0, max(0.0, value))", "return value",
+           ("tests/test_metrics.py::TestEffectiveness::"
+            "test_weights_over_one_within_tolerance_score_at_most_one",)),
+    Mutant("oracle bands 5.0-5.5 as Low", "oracle.py",
+           "if rho < 5.0:", "if rho < 5.5:", _ORACLE),
+    Mutant("oracle bands 8.0 as Medium", "oracle.py",
+           "if rho < 8.0:", "if rho <= 8.0:", _ORACLE),
+    Mutant("oracle's Medium character urgent", "oracle.py",
+           '"Medium": "alert"', '"Medium": "urgent"', _ORACLE),
+    Mutant("oracle's Medium route nearby alone", "oracle.py",
+           '"Medium": ["nearby", "remote"],', '"Medium": ["nearby"],', _ORACLE),
+    Mutant("oracle's alarm only on High", "oracle.py",
+           'band != "Low"', 'band == "High"', _ORACLE),
+    Mutant("oracle's band rule dropped", "oracle.py", "if k != band:", "if False:", _ORACLE),
+    Mutant("oracle's tone rule dropped", "oracle.py",
+           'if record["gamma"] != rho:', "if False:", _ORACLE),
+    Mutant("oracle's no-hazard alarm rule dropped", "oracle.py",
+           'if record["alarm"] is not False:', "if False:",
+           ("tests/test_oracle.py::TestPlantedCorruptions::"
+            "test_no_hazard_record_with_alarm_detected",)),
+    Mutant("oracle's no-hazard recipient rule dropped", "oracle.py",
+           "if recipients:", "if False:", _ORACLE),
 )
 
 

@@ -36,7 +36,6 @@ from .core import (
 from .dispatch import (
     DeliveryRecord,
     MemorySink,
-    NetworkSink,
     dispatch,
     memory_registry,
 )
@@ -94,7 +93,6 @@ from .perception import (
     baseline_location_assess,
     baseline_object_assess,
     builtin_rule_table,
-    remote_assess,
     scripted_assess,
 )
 

@@ -1,4 +1,4 @@
-"""Minimal JSON-over-HTTP client shared by the remote backend and sinks.
+"""Minimal JSON-over-HTTP client of the remote backend.
 
 Each call is one HTTP/1.0 exchange with ``Connection: close`` on a plain
 socket.  One deadline bounds all of it, and a reply over MAX_REPLY_BYTES is

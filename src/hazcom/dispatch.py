@@ -2,7 +2,8 @@
 
 Delivery order is nearby -> remote -> coordination.  A failing sink yields
 a failure record but never blocks the other channels and never mutates the
-output being delivered.
+output being delivered.  The package's one sink is :class:`MemorySink`; any
+object with a ``channel`` and a ``deliver`` method serves as a custom one.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Protocol
 
-from . import _http
-from .clock import ticks_to_seconds
 from .core import CHANNEL_ORDER, RECIPIENTS_IN_ORDER, Channel, CommOutput, ConfigurationError
 
 
@@ -32,21 +31,6 @@ class ChannelSink(Protocol):
     channel: Channel
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord: ...
-
-
-def comm_output_wire(output: CommOutput, tick: int) -> dict:
-    """Serialize a communication for network sinks and replay."""
-    return {
-        "tick": tick,
-        "category": output.category._value_ if output.category else None,
-        "k": output.criticality._value_,
-        "rho": output.risk.value,
-        "gamma": output.message.tone,
-        "chi": output.message.character._value_,
-        "text": output.message.text,
-        "recipients": [c._value_ for c in RECIPIENTS_IN_ORDER[output.criticality]],
-        "alarm": output.alarm,
-    }
 
 
 @lru_cache(maxsize=1024)
@@ -68,37 +52,6 @@ class MemorySink:
         return DeliveryRecord(
             self.channel, tick, True, _memory_detail(message.character._value_, message.text)
         )
-
-
-@dataclass
-class NetworkSink:
-    """Posts the wire document to an HTTP endpoint.
-
-    Transport failures become failure records; no exception escapes a
-    delivery attempt.  An endpoint that is not an ``http://`` URL with a host,
-    or a timeout that is not positive, raises ConfigurationError when the
-    sink is built.
-    """
-
-    channel: Channel
-    endpoint: str
-    timeout_ticks: int = 50
-
-    def __post_init__(self) -> None:
-        _http.parse_url(self.endpoint)
-        if not self.timeout_ticks > 0:
-            raise ConfigurationError(f"timeout must be positive, got {self.timeout_ticks}")
-
-    def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
-        try:
-            _http.post_json(
-                self.endpoint,
-                comm_output_wire(output, tick),
-                ticks_to_seconds(self.timeout_ticks),
-            )
-        except (TimeoutError, ConnectionError, ValueError) as exc:
-            return DeliveryRecord(self.channel, tick, False, f"delivery failed: {exc}")
-        return DeliveryRecord(self.channel, tick, True, f"posted to {self.endpoint}")
 
 
 SinkRegistry = Mapping[Channel, ChannelSink]

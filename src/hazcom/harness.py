@@ -27,6 +27,7 @@ from .core import (
     CrowdDensity,
     EnvContext,
     Feasibility,
+    FieldTable,
     HazardCategory,
     LocationType,
     TimeSensitivity,
@@ -557,12 +558,24 @@ _FAULT_PROFILE_FIELDS = {
 }
 
 
+#: The file, scenario and step field tables of a scenario file.
+_FILE_FIELDS = {"format": ((str,), "a string", True), "scenarios": ((list,), "a list", True)}
+_SCENARIO_FIELDS = {"id": ((str,), "a string", True), "steps": ((list,), "a list", True),
+                    "fault_profile": ((dict, type(None)), "an object or null", False)}
+_STEP_FIELDS = {"observation": ((dict,), "an object", True),
+                "truth": ((dict, type(None)), "an object or null", False)}
+
+
+def _check_document(doc: object, fields: FieldTable, what: str, where: str) -> dict:
+    """:func:`check_fields`, raising ConfigurationError prefixed by ``where``."""
+    try:
+        return check_fields(doc, fields, what)
+    except ValidationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(doc: dict, where: str) -> Scenario:
-    if not isinstance(doc, dict) or "id" not in doc or "steps" not in doc:
-        raise ConfigurationError(f"{where}: scenario needs 'id' and 'steps'")
-    scenario_id = doc["id"]
-    if not isinstance(scenario_id, str):
-        raise ConfigurationError(f"{where}: 'id' must be a string, got {scenario_id!r}")
+    scenario_id = _check_document(doc, _SCENARIO_FIELDS, "scenario", where)["id"]
     profile = None
     if doc.get("fault_profile") is not None:
         try:
@@ -572,14 +585,10 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
             raise ConfigurationError(
                 f"{where} ({scenario_id}): invalid fault profile: {exc}"
             ) from exc
-    if not isinstance(doc["steps"], list):
-        raise ConfigurationError(f"{where} ({scenario_id}): 'steps' must be a list")
-    observations = []
-    truths = []
+    observations, truths = [], []
     for index, step in enumerate(doc["steps"]):
         step_where = f"{where} ({scenario_id}, step {index})"
-        if not isinstance(step, dict) or "observation" not in step:
-            raise ConfigurationError(f"{step_where}: step needs an 'observation'")
+        _check_document(step, _STEP_FIELDS, "step", step_where)
         try:
             observations.append(decode_observation(step["observation"]))
         except BackendResponseError as exc:
@@ -618,16 +627,12 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
         raise ConfigurationError(f"{path}: not valid JSON: nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(document, dict) or document.get("format") != SCENARIO_FORMAT:
-        raise ConfigurationError(
-            f"{path}: expected a {SCENARIO_FORMAT!r} document"
-        )
-    entries = document.get("scenarios", [])
-    if not isinstance(entries, list):
-        raise ConfigurationError(f"{path}: 'scenarios' must be a list")
+    _check_document(document, _FILE_FIELDS, f"{SCENARIO_FORMAT!r} document", str(path))
+    if document["format"] != SCENARIO_FORMAT:
+        raise ConfigurationError(f"{path}: expected a {SCENARIO_FORMAT!r} document")
     scenarios = [
         scenario_from_dict(doc, f"{path}: scenario {index}")
-        for index, doc in enumerate(entries)
+        for index, doc in enumerate(document["scenarios"])
     ]
     if not scenarios:
         raise ConfigurationError(f"{path}: no scenarios")

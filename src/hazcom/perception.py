@@ -619,30 +619,14 @@ def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
         raise BackendResponseError(str(exc)) from exc
 
 
-def remote_assess(
-    endpoint: str,
-    obs: Observation,
-    timeout_ticks: int,
-    transport: Transport | None = None,
-) -> Optional[HazardAssessment]:
-    """Ask a remote model endpoint for an assessment.
-
-    Timeouts, transport failures, and malformed responses each raise their
-    own error type; none of them is ever reported as "no hazard".
-    """
-    if timeout_ticks <= 0:
-        raise ValidationError(f"timeout must be positive, got {timeout_ticks}")
-    transport = transport if transport is not None else http_transport
-    response = transport(endpoint, encode_observation(obs), timeout_ticks)
-    return decode_assessment(response)
-
-
 class RemoteBackend:
     """Deadline-bounded remote assessment client.
 
     Without a custom ``transport`` the endpoint must be an ``http://`` URL
     with a host, and the timeout must be positive; anything else raises
-    ConfigurationError here, not on each step.
+    ConfigurationError here, not on each step.  A timeout, a transport
+    failure and a malformed response each raise their own error type from
+    :meth:`assess`; none is ever reported as "no hazard".
     """
 
     def __init__(
@@ -657,10 +641,11 @@ class RemoteBackend:
             raise ConfigurationError(f"timeout must be positive, got {timeout_ticks}")
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
-        self._transport = transport
+        self._transport = http_transport if transport is None else transport
 
     def assess(self, obs: Observation) -> Optional[HazardAssessment]:
-        return remote_assess(self.endpoint, obs, self.timeout_ticks, self._transport)
+        request = encode_observation(obs)
+        return decode_assessment(self._transport(self.endpoint, request, self.timeout_ticks))
 
 
 # --------------------------------------------------------------------------

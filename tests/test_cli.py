@@ -72,6 +72,25 @@ class TestRun:
     def test_missing_scenario_file_is_config_error(self):
         assert main(["run", "--scenarios", "/nonexistent.json"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("scenario, step, key, misspelt", [
+        (7, None, "fault_profile", "fault_profle"), (0, 1, "truth", "truht"),
+    ], ids=["fault-profile", "truth"])
+    def test_misspelt_scenario_key_is_config_error(
+        self, tmp_path, capsys, scenario, step, key, misspelt
+    ):
+        suite_path = tmp_path / "suite.json"
+        save_scenarios(suite_path, builtin_suite())
+        document = json.loads(suite_path.read_text())
+        doc = document["scenarios"][scenario]
+        doc = doc if step is None else doc["steps"][step]
+        doc[misspelt] = doc.pop(key)
+        suite_path.write_text(json.dumps(document))
+        assert main(["run", "--scenarios", str(suite_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {suite_path}: scenario {scenario}")
+        assert captured.err.count("\n") == 1 and f"unknown=['{misspelt}']" in captured.err
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),

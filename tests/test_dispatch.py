@@ -1,7 +1,3 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import pytest
 
 from hazcom import (
@@ -12,14 +8,13 @@ from hazcom import (
     HazardCategory,
     LocationType,
     MemorySink,
-    NetworkSink,
     RiskScore,
     assemble_output,
     dispatch,
     memory_registry,
     recipients_for,
 )
-from hazcom.dispatch import DeliveryRecord, comm_output_wire
+from hazcom.dispatch import DeliveryRecord
 
 
 def output_for(rho, category=HazardCategory.SHARP_OBJECT):
@@ -108,62 +103,3 @@ class TestMemorySink:
         assert first.detail == f"alert: {output.message.text}"
         assert first.detail is second.detail
 
-
-class _CaptureHandler(BaseHTTPRequestHandler):
-    bodies = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        type(self).bodies.append(json.loads(self.rfile.read(length)))
-        self.send_response(200)
-        self.send_header("Content-Length", "2")
-        self.end_headers()
-        self.wfile.write(b"{}")
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def capture_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _CaptureHandler)
-    # A short poll interval lets shutdown() return promptly at teardown.
-    threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    ).start()
-    _CaptureHandler.bodies = []
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/notify"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-class TestNetworkSink:
-    def test_body_round_trips_all_fields(self, capture_server):
-        output = output_for(6.0, HazardCategory.UNATTENDED_ITEM)
-        sink = NetworkSink(Channel.REMOTE, capture_server)
-        record = sink.deliver(output, tick=42)
-        assert record.success is True
-        body = _CaptureHandler.bodies[0]
-        assert body == comm_output_wire(output, 42)
-        assert body["tick"] == 42
-        assert body["category"] == "UnattendedItem"
-        assert body["k"] == "Medium"
-        assert body["rho"] == 6.0
-        assert body["gamma"] == 6.0
-        assert body["chi"] == "alert"
-        assert body["recipients"] == ["nearby", "remote"]
-        assert body["alarm"] is True
-        assert body["text"] == output.message.text
-
-    def test_high_output_body_contains_urgent(self, capture_server):
-        sink = NetworkSink(Channel.COORDINATION, capture_server)
-        sink.deliver(output_for(9.0), tick=0)
-        assert _CaptureHandler.bodies[0]["chi"] == "urgent"
-
-    def test_unreachable_endpoint_is_failure_record(self):
-        sink = NetworkSink(Channel.REMOTE, "http://127.0.0.1:9/nowhere")
-        record = sink.deliver(output_for(6.0), tick=0)
-        assert record.success is False
-        assert "failed" in record.detail

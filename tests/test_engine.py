@@ -189,6 +189,15 @@ class TestStep:
         assert result.timers.total == 370
         assert result.timers.total > engine.config.t_max
 
+    def test_verdict_exactly_at_the_budget_is_not_a_fallback(self, s1_obs, scripted):
+        engine = Engine()
+        delay = engine.config.t_max - engine.config.timers.total
+        at_budget = FaultInjectingBackend(scripted, FaultProfile(added_delay=delay), engine.clock)
+        result = engine.step(s1_obs, at_budget)
+        assert result.timers.total == engine.config.t_max
+        assert result.fallback_used is False
+        assert result.output.criticality is Criticality.HIGH
+
     def test_fallback_cold_start_is_medium(self, s1_obs, scripted):
         engine = Engine()
         slow = FaultInjectingBackend(

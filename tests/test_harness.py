@@ -271,6 +271,32 @@ class TestScenarioFiles:
             load_scenarios(path)
         assert str(excinfo.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("misspell, message", [
+        (lambda doc: doc.update(scenario=doc.pop("scenarios")),
+         "'hazcom-scenarios-v1' document must have exactly the fields "
+         "['format', 'scenarios']; missing=['scenarios'] unknown=['scenario']"),
+        (lambda doc: doc["scenarios"][7].update(
+            fault_profle=doc["scenarios"][7].pop("fault_profile")),
+         "scenario 7: scenario must have exactly the fields ['id', 'steps'] and "
+         "optionally ['fault_profile']; missing=[] unknown=['fault_profle']"),
+        (lambda doc: doc["scenarios"][0]["steps"][1].update(
+            truht=doc["scenarios"][0]["steps"][1].pop("truth")),
+         "scenario 0 (S1-knife-unsafe-area, step 1): step must have exactly the fields "
+         "['observation'] and optionally ['truth']; missing=[] unknown=['truht']"),
+    ], ids=["file", "scenario", "step"])
+    def test_misspelt_key_is_named(self, tmp_path, misspell, message):
+        # A misspelt optional key must not pass for an absent one: an S8
+        # without its fault profile runs unfaulted, a step without its truth
+        # scores as no hazard.
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        document = json.loads(path.read_text())
+        misspell(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_scenarios(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize(
         "corrupt",
         [

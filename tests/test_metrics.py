@@ -133,6 +133,11 @@ class TestEffectiveness:
         value = effectiveness(SubMetrics(a, b, c, d), (0.25, 0.25, 0.25, 0.25))
         assert 0.0 <= value <= 1.0
 
+    def test_weights_over_one_within_tolerance_score_at_most_one(self):
+        # The weights may sum to 1 + 1e-9; the score still lies in [0, 1].
+        sub = SubMetrics(1.0, 1.0, 1.0, 1.0)
+        assert effectiveness(sub, (0.25, 0.25, 0.25, 0.25 + 5e-10)) == 1.0
+
     def test_submetrics_clamped(self):
         sub = SubMetrics(1.5, -0.5, 0.5, 0.5)
         assert sub.eps_det == 1.0

@@ -411,3 +411,25 @@ class TestOracleAgreesWithCore:
         assert record["alarm"] is alarm_for(band)
         assert record["gamma"] == tone_for(risk)
         assert {Channel(c) for c in record["recipients"]} == recipients_for(band)
+
+
+class TestRulesByExample:
+    """Each rule at and beside the band edges, by example: the property above
+    finds a wrong threshold or table entry in only some runs."""
+
+    @pytest.mark.parametrize("rho", [0.0, 4.999, 5.0, 5.25, 7.999, 8.0, 10.0])
+    def test_only_the_changed_field_is_named(self, rho):
+        record = _coherent(next(r for r in _CLEAN if r["k"] is not None), rho)
+        record["d"] = record["k"]
+        assert oracle_verify([record]) == []
+        changes = [(field, value) for field, values in sorted(_BY_GRADE.items())
+                   for value in values if value != record[field]]
+        for field, value in [*changes, ("gamma", (rho + 3.0) % 10.0)]:
+            found = oracle_verify([{**record, field: value}])
+            assert {v.field for v in found} == {field}, (field, value)
+
+    def test_no_hazard_record_with_recipients_is_named(self):
+        record = next(r for r in _CLEAN if r["k"] is None)
+        assert oracle_verify([record]) == []
+        found = oracle_verify([{**record, "recipients": ["nearby"]}])
+        assert {v.field for v in found} == {"recipients"}

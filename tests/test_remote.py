@@ -16,16 +16,13 @@ from hazcom import (
     BackendResponseError,
     BackendTimeout,
     BackendTransportError,
-    Channel,
     ConfigurationError,
     Criticality,
     Engine,
     HazardCategory,
-    NetworkSink,
     RemoteBackend,
     ValidationError,
     oracle_verify,
-    remote_assess,
     scripted_assess,
     builtin_rule_table,
 )
@@ -152,7 +149,7 @@ class TestScriptedTransportDeadline:
     def test_fast_response_parses(self, s1_obs):
         clock = VirtualClock()
         transport = ScriptedTransport(clock, delay_ticks=30, response=VALID_RESPONSE)
-        result = remote_assess("stub://model", s1_obs, 200, transport)
+        result = RemoteBackend("stub://model", 200, transport).assess(s1_obs)
         assert result.category is HazardCategory.SHARP_OBJECT
         assert clock.now == 30
 
@@ -160,7 +157,7 @@ class TestScriptedTransportDeadline:
         clock = VirtualClock()
         transport = ScriptedTransport(clock, delay_ticks=500, response=VALID_RESPONSE)
         with pytest.raises(BackendTimeout):
-            remote_assess("stub://model", s1_obs, 200, transport)
+            RemoteBackend("stub://model", 200, transport).assess(s1_obs)
         assert clock.now == 200
 
     def test_invalid_score_surfaces_from_transport(self, s1_obs):
@@ -169,11 +166,13 @@ class TestScriptedTransportDeadline:
             clock, delay_ticks=1, response=dict(VALID_RESPONSE, rho=12.0)
         )
         with pytest.raises(ValidationError):
-            remote_assess("stub://model", s1_obs, 200, transport)
+            RemoteBackend("stub://model", 200, transport).assess(s1_obs)
 
-    def test_timeout_must_be_positive(self, s1_obs):
-        with pytest.raises(ValidationError):
-            remote_assess("stub://model", s1_obs, 0)
+    def test_timeout_must_be_positive(self):
+        transport = ScriptedTransport(VirtualClock(), delay_ticks=1, response=VALID_RESPONSE)
+        with pytest.raises(ConfigurationError, match="timeout must be positive"):
+            RemoteBackend("stub://model", 0, transport)
+        assert transport.requests == []
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -277,9 +276,6 @@ class TestHttpTransport:
         result = Engine().step(s1_obs, backend)
         assert result.fallback_used
         assert result.output.criticality is Criticality.MEDIUM
-        delivery = NetworkSink(Channel.REMOTE, stub_server).deliver(result.output, 0)
-        assert not delivery.success
-        assert delivery.detail.startswith("delivery failed: ")
 
     def test_unreachable_endpoint_is_transport_error(self, s1_obs):
         backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10)
@@ -359,18 +355,13 @@ class TestEndpointValidation:
     def test_unusable_endpoint_rejected_when_built(self, endpoint):
         with pytest.raises(ConfigurationError):
             RemoteBackend(endpoint)
-        with pytest.raises(ConfigurationError):
-            NetworkSink(Channel.REMOTE, endpoint)
 
     @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
     @pytest.mark.parametrize("transport", [None, lambda *args: VALID_RESPONSE])
     def test_non_positive_timeout_rejected_when_built(self, timeout, transport):
-        # Built, the backend would fall back on every step without saying
-        # why, and the sink would post with a deadline already passed.
+        # Built, the backend would fall back on every step without saying why.
         with pytest.raises(ConfigurationError, match="timeout must be positive"):
             RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
-        with pytest.raises(ConfigurationError, match="timeout must be positive"):
-            NetworkSink(Channel.REMOTE, "http://127.0.0.1:9/assess", timeout_ticks=timeout)
 
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
