@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import threading
 import time
 from urllib.parse import urlsplit
 
@@ -43,11 +44,14 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
 
     ``timeout_s`` bounds the whole exchange (a blocking name lookup aside).
     Raises TimeoutError when it passes, ConnectionError on a transport
-    failure (an unusable URL, an unreachable host, a status outside 2xx, a
-    reply that breaks HTTP framing), and ValueError on an oversized reply or
-    a body that is not a JSON object.
+    failure (an unusable URL or timeout, an unreachable host, a status
+    outside 2xx, a reply that breaks HTTP framing), and ValueError on an
+    oversized reply or a body that is not a JSON object.
     """
     deadline = time.monotonic() + timeout_s
+    if not timeout_s < threading.TIMEOUT_MAX:
+        # A socket past this range raises OverflowError, and create_connection leaks it.
+        raise ConnectionError(f"cannot reach {url}: timeout {timeout_s}s is out of range")
     try:
         address, host, path = parse_url(url)
     except ConfigurationError as exc:

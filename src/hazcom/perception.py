@@ -12,13 +12,14 @@ implementations share that contract:
 ``FaultInjectingBackend`` wraps any backend with seeded delays and failures
 for exercising the engine's budget/fallback path.
 
-Each built-in backend builds a finished verdict once, in one memo: a rule
-table's by entity and context, the object baseline's by label, and the
-location baseline's at import.  A verdict is shared and immutable.
+A built-in verdict is table data, built once per rule and policy row; its
+rationale names the row (``rule *knife*|*|*|*|* -> SharpObject/High``), never
+the entity.  A verdict is shared and immutable.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -70,8 +71,8 @@ class InjectedFault(BackendError):
     """Deliberate failure raised by the fault-injection wrapper."""
 
 
-#: Entries each perception memo keeps at most: a rule table's rules and
-#: verdicts, and the object baseline's verdicts and identities.
+#: Entries each perception memo keeps at most: a rule table's rules and the
+#: object baseline's verdicts.
 MEMO_SIZE = 1024
 
 
@@ -146,17 +147,6 @@ class Backend(Protocol):
 # Scripted rule-table backend
 
 
-@dataclass(frozen=True)
-class Emission:
-    """What a matched rule reports: category, factor triple, and score."""
-
-    category: HazardCategory
-    level: Criticality
-    time_sensitivity: TimeSensitivity
-    feasibility: Feasibility
-    risk: RiskScore
-
-
 def _glob(pattern: str) -> Callable[[str], Optional[re.Match]]:
     """Compiled case-sensitive glob matcher, the same test as ``fnmatchcase``."""
     return re.compile(translate(pattern)).match
@@ -164,14 +154,14 @@ def _glob(pattern: str) -> Callable[[str], Optional[re.Match]]:
 
 @dataclass(frozen=True)
 class Rule:
-    """One match row; ``emission=None`` marks the entity as benign."""
+    """One match row and its verdict; ``emission=None`` marks the entity benign."""
 
     object_pattern: str
     attribute_pattern: str
     location: LocationType | None
     crowd: CrowdDensity | None
     vulnerable: bool | None
-    emission: Emission | None
+    emission: HazardAssessment | None
     _object_match: Callable = field(init=False, repr=False, compare=False)
     _attribute_match: Callable = field(init=False, repr=False, compare=False)
 
@@ -192,21 +182,6 @@ class Rule:
             return False
         return True
 
-    def verdict(self, entity: Entity, env: EnvContext) -> Optional[HazardAssessment]:
-        """The verdict this rule gives ``entity`` in ``env``; None if benign."""
-        emission = self.emission
-        if emission is None:
-            return None
-        return HazardAssessment(
-            emission.category,
-            ContextFactors(emission.level, emission.time_sensitivity, emission.feasibility),
-            emission.risk,
-            f"{entity.object_label!r} ({entity.attribute or 'no attribute'}) in the "
-            f"{env.location_type._value_} matched rule "
-            f"{self.object_pattern}|{self.attribute_pattern} -> "
-            f"{emission.category._value_}/{emission.level._value_}",
-        )
-
 
 @dataclass(frozen=True)
 class RuleTable:
@@ -217,8 +192,8 @@ class RuleTable:
         <object-pattern>|<attribute-pattern>|<location|*>|<crowd|*>|<vulnerable|*> \
             => <category>,<d>,<tau>,<phi>,<rho>
 
-    ``=> none`` marks matching entities as benign.  Every hazard emission
-    must be band-coherent: its score must band to its declared level.
+    ``=> none`` marks matching entities as benign.  Every hazard emission is
+    the rule's verdict, so its score must band to its declared level.
     """
 
     rules: tuple[Rule, ...]
@@ -241,34 +216,26 @@ class RuleTable:
             )
 
     def match(self, entity: Entity, env: EnvContext) -> Rule:
-        """The first rule matching ``entity`` in ``env``."""
-        return self._entry(entity, env)[0]
-
-    def _entry(self, entity: Entity, env: EnvContext) -> tuple[Rule, Optional[HazardAssessment]]:
-        """The first rule matching ``entity`` in ``env`` and the verdict it gives,
-        memoized per table by everything a rule tests or a rationale names: the
-        label, the attribute and the three context fields.  The memo keeps at
-        most ``MEMO_SIZE`` entries and starts over when full; a context whose
-        fields cannot be hashed is scanned without it."""
+        """The first rule matching ``entity`` in ``env``, memoized per table by
+        everything a rule tests: the label, the attribute and the three context
+        fields.  The memo keeps at most ``MEMO_SIZE`` entries and starts over
+        when full; a context whose fields cannot be hashed is scanned without it."""
         key = (entity.object_label, entity.attribute,
                env.location_type, env.crowd_density, env.vulnerable_present)
         memo = self._memo
         try:
-            entry = memo.get(key)
+            rule = memo.get(key)
         except TypeError:  # an unhashable context field
             return self._scan(entity, env)
-        if entry is None:
-            entry = self._scan(entity, env)
+        if rule is None:
+            rule = self._scan(entity, env)
             if len(memo) >= MEMO_SIZE:
                 memo.clear()
-            memo[key] = entry
-        return entry
+            memo[key] = rule
+        return rule
 
-    def _scan(self, entity: Entity, env: EnvContext) -> tuple[Rule, Optional[HazardAssessment]]:
-        for rule in self.rules:
-            if rule.matches(entity, env):
-                return rule, rule.verdict(entity, env)
-        raise AssertionError("unreachable: catch-all rule matches everything")
+    def _scan(self, entity: Entity, env: EnvContext) -> Rule:
+        return next(rule for rule in self.rules if rule.matches(entity, env))
 
     @classmethod
     def parse(cls, text: str, source: str = "<string>") -> "RuleTable":
@@ -300,6 +267,7 @@ def _parse_rule(line: str, source: str, line_no: int) -> Rule:
     obj_pat, attr_pat, loc_tok, crowd_tok, vul_tok = fields
     if not obj_pat or not attr_pat:
         raise ConfigurationError(f"{where}: empty match pattern")
+    obj_pat, attr_pat = obj_pat.lower(), attr_pat.lower()
     try:
         location = None if loc_tok == "*" else enum_from_label(LocationType, loc_tok)
         crowd = None if crowd_tok == "*" else enum_from_label(CrowdDensity, crowd_tok)
@@ -326,20 +294,19 @@ def _parse_rule(line: str, source: str, line_no: int) -> Rule:
         try:
             category = enum_from_label(HazardCategory, parts[0])
             level = enum_from_label(Criticality, parts[1])
-            tau = enum_from_label(TimeSensitivity, parts[2])
-            phi = enum_from_label(Feasibility, parts[3])
-            risk = RiskScore(float(parts[4]))
-        except (ValidationError, ValueError) as exc:
-            raise ConfigurationError(f"{where}: {exc}") from exc
-        if band_risk(risk) is not level:
-            raise ConfigurationError(
-                f"{where}: score {risk.value} bands to {band_risk(risk).value}, "
-                f"not the declared level {level.value}"
+            emission = HazardAssessment(
+                category,
+                ContextFactors(level, enum_from_label(TimeSensitivity, parts[2]),
+                               enum_from_label(Feasibility, parts[3])),
+                RiskScore(float(parts[4])),
+                f"rule {obj_pat}|{attr_pat}|{loc_tok}|{crowd_tok}|{vul_tok.lower()} -> "
+                f"{category._value_}/{level._value_}",
             )
-        emission = Emission(category, level, tau, phi, risk)
+        except ValueError as exc:  # ValidationError included
+            raise ConfigurationError(f"{where}: {exc}") from exc
     return Rule(
-        object_pattern=obj_pat.lower(),
-        attribute_pattern=attr_pat.lower(),
+        object_pattern=obj_pat,
+        attribute_pattern=attr_pat,
         location=location,
         crowd=crowd,
         vulnerable=vulnerable,
@@ -360,11 +327,11 @@ def scripted_assess(table: RuleTable, obs: Observation) -> Optional[HazardAssess
     Each entity takes its first matching rule; when several entities emit a
     hazard, the highest risk score wins (ties: earliest entity).  Total:
     returns None, never raises, for any well-formed observation.  Each
-    verdict is one shared, immutable assessment from the table's memo.
+    verdict is its rule's shared, immutable assessment.
     """
     best = None
     for entity in obs.salient_entities:
-        verdict = table._entry(entity, obs.env)[1]
+        verdict = table.match(entity, obs.env).emission
         if verdict is not None and (best is None or verdict.risk.value > best.risk.value):
             best = verdict
     return best
@@ -389,31 +356,6 @@ _FACTORS_BY_LEVEL = {
     Criticality.HIGH: (TimeSensitivity.IMMEDIATE, Feasibility.HELP_NEEDED),
 }
 
-# Object-identity policy: label matcher -> (category, fixed level, fixed score).
-_OBJECT_POLICY: tuple[tuple[Callable, HazardCategory, Criticality, float], ...] = (
-    (_glob("*knife*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 9.0),
-    (_glob("*scissors*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
-    (_glob("*glass*"), HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
-    (_glob("*gun*"), HazardCategory.SUSPICIOUS_ITEM, Criticality.HIGH, 9.5),
-    (_glob("*person*"), HazardCategory.PERSON_DOWN, Criticality.HIGH, 8.0),
-    (_glob("*crowd*"), HazardCategory.DISTRESS, Criticality.HIGH, 8.5),
-    (_glob("*trash*"), HazardCategory.WASTE, Criticality.LOW, 1.0),
-    (_glob("*garbage*"), HazardCategory.WASTE, Criticality.LOW, 1.0),
-    (_glob("*litter*"), HazardCategory.WASTE, Criticality.LOW, 1.5),
-    (_glob("*bag*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
-    (_glob("*package*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
-    (_glob("*suitcase*"), HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
-)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _object_identity(label: str) -> tuple[HazardCategory, Criticality, float] | None:
-    lowered = label.lower()
-    for match, category, level, score in _OBJECT_POLICY:
-        if match(lowered):
-            return category, level, score
-    return None
-
 
 def _fixed_verdict(category: HazardCategory, level: Criticality, score: float,
                    rationale: str) -> HazardAssessment:
@@ -422,14 +364,35 @@ def _fixed_verdict(category: HazardCategory, level: Criticality, score: float,
                             RiskScore(score), rationale)
 
 
+# Object-identity policy: label matcher -> the row's verdict (fixed level and score).
+_OBJECT_POLICY: tuple[tuple[Callable, HazardAssessment], ...] = tuple(
+    (_glob(pattern), _fixed_verdict(category, level, score, f"object-identity policy: "
+                                    f"{pattern} is always {level._value_}, context ignored"))
+    for pattern, category, level, score in (
+        ("*knife*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 9.0),
+        ("*scissors*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
+        ("*glass*", HazardCategory.SHARP_OBJECT, Criticality.HIGH, 8.5),
+        ("*gun*", HazardCategory.SUSPICIOUS_ITEM, Criticality.HIGH, 9.5),
+        ("*person*", HazardCategory.PERSON_DOWN, Criticality.HIGH, 8.0),
+        ("*crowd*", HazardCategory.DISTRESS, Criticality.HIGH, 8.5),
+        ("*trash*", HazardCategory.WASTE, Criticality.LOW, 1.0),
+        ("*garbage*", HazardCategory.WASTE, Criticality.LOW, 1.0),
+        ("*litter*", HazardCategory.WASTE, Criticality.LOW, 1.5),
+        ("*bag*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+        ("*package*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+        ("*suitcase*", HazardCategory.UNATTENDED_ITEM, Criticality.MEDIUM, 6.0),
+    )
+)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _object_verdict(label: str) -> Optional[HazardAssessment]:
-    hit = _object_identity(label)
-    if hit is None:
-        return None
-    category, level, score = hit
-    return _fixed_verdict(category, level, score, f"object-identity policy: {label!r} "
-                          f"is always {level._value_}, context ignored")
+    """The verdict of the first policy row matching ``label``; None if none does."""
+    lowered = label.lower()
+    for match, verdict in _OBJECT_POLICY:
+        if match(lowered):
+            return verdict
+    return None
 
 
 def baseline_object_assess(obs: Observation) -> Optional[HazardAssessment]:
@@ -473,9 +436,9 @@ def baseline_location_assess(obs: Observation) -> Optional[HazardAssessment]:
     the location's: any hazard in a kitchen is Low, any in a corridor High.
     """
     for entity in obs.salient_entities:
-        hit = _object_identity(entity.object_label)
-        if hit is not None:
-            return _LOCATION_VERDICTS[hit[0], obs.env.location_type]
+        verdict = _object_verdict(entity.object_label)
+        if verdict is not None:
+            return _LOCATION_VERDICTS[verdict.category, obs.env.location_type]
     return None
 
 
@@ -623,8 +586,8 @@ class RemoteBackend:
     """Deadline-bounded remote assessment client.
 
     Without a custom ``transport`` the endpoint must be an ``http://`` URL
-    with a host, and the timeout must be positive; anything else raises
-    ConfigurationError here, not on each step.  A timeout, a transport
+    with a host, and the timeout must be positive and finite; anything else
+    raises ConfigurationError here, not on each step.  A timeout, a transport
     failure and a malformed response each raise their own error type from
     :meth:`assess`; none is ever reported as "no hazard".
     """
@@ -637,8 +600,8 @@ class RemoteBackend:
     ) -> None:
         if transport is None:
             _http.parse_url(endpoint)
-        if not timeout_ticks > 0:
-            raise ConfigurationError(f"timeout must be positive, got {timeout_ticks}")
+        if not 0 < timeout_ticks < math.inf:
+            raise ConfigurationError(f"timeout must be positive and finite, got {timeout_ticks}")
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
         self._transport = http_transport if transport is None else transport

@@ -43,7 +43,6 @@ from hazcom.perception import (
     FaultProfile,
     Rule,
     ScriptedBackend,
-    _object_identity,
     _object_verdict,
 )
 
@@ -160,10 +159,14 @@ class TestScripted:
         assert result.category is HazardCategory.SHARP_OBJECT
 
     def test_tie_goes_to_the_earlier_entity(self):
-        # Both labels match the same knife rule; the rationale names the first seen.
-        for first, second in (("knife", "KNIFE"), ("KNIFE", "knife")):
-            result = scripted_assess(builtin_rule_table(), make_obs([(first, ""), (second, "")]))
-            assert result.rationale.startswith(f"{first!r} (no attribute)")
+        # With a vulnerable person present a knife and an exposed gun both
+        # score 9.5 under different rules; the first seen gives the verdict.
+        categories = {"knife": HazardCategory.SHARP_OBJECT, "gun": HazardCategory.SUSPICIOUS_ITEM}
+        for first, second in (("knife", "gun"), ("gun", "knife")):
+            obs = make_obs([(first, ""), (second, "")], vulnerable=True)
+            result = scripted_assess(builtin_rule_table(), obs)
+            assert result.risk.value == 9.5
+            assert result.category is categories[first]
 
     def test_vulnerable_presence_raises_score(self):
         plain = scripted_assess(builtin_rule_table(), make_obs([("knife", "on-floor")]))
@@ -263,7 +266,8 @@ class TestRuleTableParsing:
         assert table.rules[-1].emission is not None
         for rule in table.rules:
             if rule.emission is not None:
-                assert band_risk(rule.emission.risk) is rule.emission.level
+                level = rule.emission.factors.criticality_level
+                assert band_risk(rule.emission.risk) is level
 
 
 class TestObjectBaseline:
@@ -284,11 +288,14 @@ class TestObjectBaseline:
         assert baseline_object_assess(make_obs([("chair", "tipped")])) is None
 
     def test_tie_goes_to_the_earlier_entity(self):
-        # A bag and a package both score 6.0; the rationale names the first seen.
-        for first, second in (("bag", "package"), ("package", "bag")):
+        # A bag and a package both score 6.0 under different policy rows, and
+        # scissors and a crowd 8.5 under different categories; the first seen
+        # gives the verdict, and its rationale names that row.
+        for first, second, score in (("bag", "package", 6.0), ("package", "bag", 6.0),
+                                     ("scissors", "crowd", 8.5), ("crowd", "scissors", 8.5)):
             result = baseline_object_assess(make_obs([(first, "left"), (second, "left")]))
-            assert result.risk.value == 6.0
-            assert result.rationale.startswith(f"object-identity policy: {first!r} ")
+            assert result.risk.value == score
+            assert result.rationale.startswith(f"object-identity policy: *{first}* ")
 
     def test_toy_gun_false_escalation(self):
         # The deliberate failure mode: object identity cannot see the packaging.
@@ -457,9 +464,8 @@ class TestMemoizedMatch:
 
     def test_every_context_on_a_warm_table(self):
         # One table answers every combination twice: a memo key that left
-        # out any field the rules test or the rationale names would hand back
-        # a stale rule or a stale verdict.  A cold table builds each verdict
-        # afresh, rationale included.
+        # out any field the rules test would hand back a stale rule, and so a
+        # stale verdict.
         for table in (RuleTable(builtin_rule_table().rules), RuleTable.parse(OTHER_TABLE_TEXT)):
             for _ in range(2):
                 for label, attribute, location, crowd, vulnerable in itertools.product(
@@ -479,8 +485,8 @@ class TestMemoizedMatch:
         entity = obs.salient_entities[0]
         first = builtin.match(entity, obs.env)
         second = other.match(entity, obs.env)
-        assert first.emission.level is Criticality.MEDIUM
-        assert second.emission.level is Criticality.LOW
+        assert first.emission.factors.criticality_level is Criticality.MEDIUM
+        assert second.emission.factors.criticality_level is Criticality.LOW
         assert builtin.match(entity, obs.env) is first
         assert other.match(entity, obs.env) is second
 
@@ -516,9 +522,9 @@ class TestSharedVerdicts:
     # One exact rationale per backend; no digest holds a rationale.
     @pytest.mark.parametrize("assess, location, rationale", [
         (lambda obs: scripted_assess(builtin_rule_table(), obs), LocationType.CORRIDOR,
-         "'Knife' (no attribute) in the Corridor matched rule *knife*|* -> SharpObject/High"),
+         "rule *knife*|*|*|*|* -> SharpObject/High"),
         (baseline_object_assess, LocationType.KITCHEN,
-         "object-identity policy: 'Knife' is always High, context ignored"),
+         "object-identity policy: *knife* is always High, context ignored"),
         (baseline_location_assess, LocationType.KITCHEN,
          "location policy: anything in the Kitchen is Low"),
     ], ids=["scripted", "object", "location"])
@@ -539,8 +545,8 @@ class TestSharedVerdicts:
             verdict.rationale = "changed"
 
     def test_zero_and_negative_zero_scores_keep_their_sign(self, tmp_path):
-        # Both rules give the same rationale for the same entity and place,
-        # so their verdicts differ only in the sign of the score.
+        # The two rules' verdicts differ in the sign of the score, which the
+        # trace must keep.
         table = RuleTable.parse(
             "*|*|*|*|yes => Waste,Low,NearFuture,Robot,-0.0\n"
             "*|*|*|*|* => Waste,Low,NearFuture,Robot,0.0\n"
@@ -587,6 +593,5 @@ class TestSharedVerdicts:
                     assert table.match(entity, obs.env) is scan(table, entity, obs.env)
         assert len(table._memo) <= MEMO_SIZE
         assert _object_verdict.cache_info().currsize <= MEMO_SIZE
-        assert _object_identity.cache_info().currsize <= MEMO_SIZE
-        verdict = scripted_assess(table, obs)
-        assert verdict.rationale.startswith(repr(entities[0][0]))
+        first = obs.salient_entities[0]
+        assert scripted_assess(table, obs) is scan(table, first, obs.env).emission

@@ -1,6 +1,7 @@
 """Remote backend: wire format strictness, transport outcomes, deadlines."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from hazcom.perception import (
     decode_observation,
     encode_assessment,
     encode_observation,
+    http_transport,
 )
 
 
@@ -356,12 +358,17 @@ class TestEndpointValidation:
         with pytest.raises(ConfigurationError):
             RemoteBackend(endpoint)
 
-    @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
+    @pytest.mark.parametrize("timeout", [0, -5, float("nan"), math.inf])
     @pytest.mark.parametrize("transport", [None, lambda *args: VALID_RESPONSE])
     def test_non_positive_timeout_rejected_when_built(self, timeout, transport):
         # Built, the backend would fall back on every step without saying why.
         with pytest.raises(ConfigurationError, match="timeout must be positive"):
             RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
+
+    def test_timeout_past_the_socket_range_is_transport_error(self):
+        # A deadline past a socket's range is refused before any connection is tried.
+        with pytest.raises(BackendTransportError, match="timeout"):
+            http_transport("http://127.0.0.1:9/assess", {}, 10**12)
 
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)

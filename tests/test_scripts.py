@@ -47,12 +47,36 @@ def test_fault_sweep_default_grid():
     )
 
 
-def test_mutation_check_entries_apply():
-    # Each mutant's old text occurs exactly once, so an edit that moves or
-    # repeats it fails here and not only in the slower mutation step.
+def load_mutation_check():
     path = ROOT / "scripts" / "mutation_check.py"
     spec = importlib.util.spec_from_file_location("mutation_check", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_check_entries_apply():
+    # Each mutant's old text occurs exactly once, so an edit that moves or
+    # repeats it fails here and not only in the slower mutation step.
+    module = load_mutation_check()
     assert module.problems() == []
     assert len({mutant.name for mutant in module.MUTANTS}) == len(module.MUTANTS)
+
+
+def test_mutation_check_counts_no_run_test_as_no_kill(monkeypatch, capsys):
+    # The second mutant's only tests are digests, which the check deselects:
+    # pytest exits 5 having run nothing, and that must not pass for a kill,
+    # even while the first mutant keeps the unmutated run non-empty.  The
+    # first stops the package importing (its object policy holds a High
+    # score of 8.0), so pytest cannot load the conftest and exits 4.
+    module = load_mutation_check()
+    named = {m.name: m for m in module.MUTANTS}
+    kept = named["score 8.0 bands to Medium"]
+    unjudged = named["oracle bands 8.0 as Medium"]._replace(
+        tests=("tests/test_oracle.py::TestVerdictCorpus",))
+    monkeypatch.setattr(module, "MUTANTS", (kept, unjudged))
+    assert module.main() == 2
+    out, err = capsys.readouterr()
+    assert "killed at import: score 8.0 bands to Medium" in out
+    assert "NOT JUDGED (pytest exit 5): oracle bands 8.0 as Medium" in out
+    assert "1 of 2 mutants were judged by no test: oracle bands 8.0 as Medium" in err
