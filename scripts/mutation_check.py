@@ -7,9 +7,10 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 52 mutants take
-about two and a half minutes (2 min 35 s), where running the whole test
-suite per mutant took about three for the first 17.
+test in one, as pytest names them.  On a 2-CPU machine the 53 mutants take
+about three and a half minutes (3 min 16 s and 3 min 34 s in two runs),
+where running the whole test suite per mutant took about three for the
+first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
 killed only by a test that names the behaviour it broke.
@@ -99,6 +100,9 @@ MUTANTS = (
     Mutant("infinite remote timeout accepted", "perception.py",
            "if not 0 < timeout_ticks < math.inf:", "if not 0 < timeout_ticks:",
            ("tests/test_remote.py",)),
+    Mutant("socket timeout out of range accepted when built", "perception.py",
+           "_http.check_timeout(ticks_to_seconds(timeout_ticks))", "pass",
+           ("tests/test_remote.py::TestEndpointValidation",)),
     Mutant("socket timeout out of range reaches the socket", "_http.py",
            "if not timeout_s < threading.TIMEOUT_MAX:", "if False:",
            ("tests/test_remote.py",)),

@@ -39,6 +39,15 @@ def parse_url(url: str) -> tuple[tuple[str, int], str, str]:
     return (parts.hostname, 80 if port is None else port), host, path
 
 
+def check_timeout(timeout_s: float) -> None:
+    """Raise ConfigurationError unless a socket can wait ``timeout_s`` seconds."""
+    if not timeout_s < threading.TIMEOUT_MAX:
+        # A socket past this range raises OverflowError, and create_connection leaks it.
+        raise ConfigurationError(
+            f"timeout {timeout_s}s is out of range (at most {threading.TIMEOUT_MAX}s)"
+        )
+
+
 def post_json(url: str, document: dict, timeout_s: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
@@ -49,10 +58,8 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
     oversized reply or a body that is not a JSON object.
     """
     deadline = time.monotonic() + timeout_s
-    if not timeout_s < threading.TIMEOUT_MAX:
-        # A socket past this range raises OverflowError, and create_connection leaks it.
-        raise ConnectionError(f"cannot reach {url}: timeout {timeout_s}s is out of range")
     try:
+        check_timeout(timeout_s)
         address, host, path = parse_url(url)
     except ConfigurationError as exc:
         raise ConnectionError(f"cannot reach {url}: {exc}") from exc

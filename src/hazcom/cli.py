@@ -1,9 +1,8 @@
 """Command-line surface.
 
 Subcommands: ``run`` (execute a suite and write a report), ``verify``
-(check a trace log against the policy oracle), ``compare`` (two backends,
-side-by-side), ``replay`` (re-dispatch a trace through sinks), and ``gen``
-(write a randomized scenario file).
+(check a trace log against the policy oracle) and ``gen`` (write a
+randomized scenario file).
 
 Exit codes: 0 clean, 1 oracle violation found, 2 configuration or I/O error.
 """
@@ -18,17 +17,13 @@ from urllib.parse import quote
 
 from .clock import seconds_to_ticks
 from .core import (
-    CommOutput,
     ConfigurationError,
     HazardCategory,
     LocationType,
-    MessageTuple,
-    RiskScore,
     ValidationError,
     enum_from_label,
 )
-from .dispatch import dispatch, memory_registry
-from .engine import EngineConfig, TraceRecord, read_json_lines, read_trace, write_trace
+from .engine import EngineConfig, read_json_lines, write_trace
 from .harness import (
     MixConfig,
     SuiteReport,
@@ -69,40 +64,6 @@ def make_backend(spec: str, timeout_ticks: int) -> Backend:
     raise ConfigurationError(
         f"unknown backend {spec!r}; expected scripted, object-baseline, "
         "location-baseline, or remote:<addr>"
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenarios", help="scenario file (default: builtin suite)")
-    parser.add_argument(
-        "--suite", choices=("builtin", "sixty"), default="builtin",
-        help="which builtin suite to use when --scenarios is not given",
-    )
-    parser.add_argument(
-        "--backend", action="append", dest="backends", metavar="BACKEND",
-        help="scripted | object-baseline | location-baseline | remote:<addr> "
-             "(repeatable)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="ignored: runs draw no random numbers; accepted for compatibility",
-    )
-    parser.add_argument(
-        "--t-max", type=float, default=20.0, metavar="SECONDS",
-        help="latency budget in seconds (default 20)",
-    )
-    parser.add_argument(
-        "--lambda", dest="fatigue_lambda", type=float, default=1.0,
-        help="fatigue penalty weight (default 1.0)",
-    )
-    parser.add_argument("--report", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="report format (structured = JSON)",
-    )
-    parser.add_argument(
-        "--trace", metavar="DIR",
-        help="also write one trace log per (backend, scenario) into DIR",
     )
 
 
@@ -162,15 +123,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if report.total_violations else EXIT_CLEAN
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    args.backends = args.backends or ["scripted", "object-baseline"]
-    if len(args.backends) != 2:
-        raise ConfigurationError(
-            f"compare needs exactly two --backend flags, got {len(args.backends)}"
-        )
-    return cmd_run(args)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     records = [doc for _, doc in read_json_lines(args.trace_file)]
     violations = oracle_verify(records)
@@ -178,42 +130,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(violation)
     print(f"{len(records)} records checked, {len(violations)} violations")
     return EXIT_VIOLATION if violations else EXIT_CLEAN
-
-
-def _output_from_record(record: TraceRecord) -> CommOutput | None:
-    if record.criticality is None:
-        return None
-    if record.text is None or record.tone is None or record.character is None:
-        raise ValidationError(
-            f"record {record.obs_id}: cannot replay without text/tone/character"
-        )
-    message = MessageTuple(record.text, record.tone, record.character)
-    return CommOutput(
-        message=message,
-        recipients=frozenset(record.recipients),
-        alarm=record.alarm,
-        criticality=record.criticality,
-        risk=RiskScore(record.risk),
-        category=record.category,
-    )
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    records = read_trace(args.trace_file)
-    sinks = memory_registry()
-    delivered = []
-    for record in records:
-        output = _output_from_record(record)
-        if output is None:
-            continue
-        delivered.extend(dispatch(output, sinks, record.tick))
-    lines = [
-        f"tick={r.tick} channel={r.channel.value} success={r.success} {r.detail}"
-        for r in delivered
-    ]
-    summary = f"replayed {len(records)} records, {len(delivered)} deliveries"
-    _emit("\n".join(lines + [summary]) + "\n", args.report)
-    return EXIT_CLEAN
 
 
 def _parse_weight_map(spec: str, enum_cls, what: str) -> dict:
@@ -263,21 +179,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run a suite and write a report")
-    _add_common_flags(run_parser)
+    run_parser.add_argument("--scenarios", help="scenario file (default: builtin suite)")
+    run_parser.add_argument(
+        "--suite", choices=("builtin", "sixty"), default="builtin",
+        help="which builtin suite to use when --scenarios is not given",
+    )
+    run_parser.add_argument(
+        "--backend", action="append", dest="backends", metavar="BACKEND",
+        help="scripted | object-baseline | location-baseline | remote:<addr> "
+             "(repeatable)",
+    )
+    run_parser.add_argument(
+        "--seed", type=int, default=0,
+        help="ignored: runs draw no random numbers; accepted for compatibility",
+    )
+    run_parser.add_argument(
+        "--t-max", type=float, default=20.0, metavar="SECONDS",
+        help="latency budget in seconds (default 20)",
+    )
+    run_parser.add_argument(
+        "--lambda", dest="fatigue_lambda", type=float, default=1.0,
+        help="fatigue penalty weight (default 1.0)",
+    )
+    run_parser.add_argument("--report", help="write the report here instead of stdout")
+    run_parser.add_argument(
+        "--format", choices=("text", "structured"), default="text",
+        help="report format (structured = JSON)",
+    )
+    run_parser.add_argument(
+        "--trace", metavar="DIR",
+        help="also write one trace log per (backend, scenario) into DIR",
+    )
     run_parser.set_defaults(func=cmd_run)
-
-    compare_parser = sub.add_parser("compare", help="two backends side by side")
-    _add_common_flags(compare_parser)
-    compare_parser.set_defaults(func=cmd_compare)
 
     verify_parser = sub.add_parser("verify", help="check a trace log with the oracle")
     verify_parser.add_argument("trace_file", help="trace log (one JSON record per line)")
     verify_parser.set_defaults(func=cmd_verify)
-
-    replay_parser = sub.add_parser("replay", help="re-dispatch a trace through sinks")
-    replay_parser.add_argument("trace_file", help="trace log (one JSON record per line)")
-    replay_parser.add_argument("--report", help="write the delivery log here")
-    replay_parser.set_defaults(func=cmd_replay)
 
     gen_parser = sub.add_parser("gen", help="generate a randomized scenario file")
     gen_parser.add_argument("--seed", type=int, default=0)

@@ -585,9 +585,10 @@ def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
 class RemoteBackend:
     """Deadline-bounded remote assessment client.
 
-    Without a custom ``transport`` the endpoint must be an ``http://`` URL
-    with a host, and the timeout must be positive and finite; anything else
-    raises ConfigurationError here, not on each step.  A timeout, a transport
+    The timeout must be positive and finite; without a custom ``transport``
+    it must also be one a socket can wait, and the endpoint an ``http://``
+    URL with a host.  Anything else raises ConfigurationError here, not on
+    each step.  A timeout, a transport
     failure and a malformed response each raise their own error type from
     :meth:`assess`; none is ever reported as "no hazard".
     """
@@ -598,10 +599,11 @@ class RemoteBackend:
         timeout_ticks: int = 200,
         transport: Transport | None = None,
     ) -> None:
-        if transport is None:
-            _http.parse_url(endpoint)
         if not 0 < timeout_ticks < math.inf:
             raise ConfigurationError(f"timeout must be positive and finite, got {timeout_ticks}")
+        if transport is None:
+            _http.parse_url(endpoint)
+            _http.check_timeout(ticks_to_seconds(timeout_ticks))
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
         self._transport = http_transport if transport is None else transport

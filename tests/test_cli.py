@@ -30,6 +30,21 @@ class TestBackendSpecs:
         assert main(["run", "--backend", "remote:127.0.0.1:8000"]) == EXIT_CONFIG
         assert "http://" in capsys.readouterr().err
 
+    def test_remote_timeout_past_the_socket_range_exits_2(self, capsys):
+        # 1e11 s is past what a socket can wait; built, the backend would fall back on every step.
+        code = main(["run", "--t-max", "1e11", "--backend", "remote:http://127.0.0.1:9/assess"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: timeout ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["compare"], ["replay", "trace.jsonl"]])
+    def test_removed_subcommand_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "{run,verify,gen}" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_default_suite(self, capsys):
@@ -91,14 +106,13 @@ class TestRun:
         assert captured.err.startswith(f"error: {suite_path}: scenario {scenario}")
         assert captured.err.count("\n") == 1 and f"unknown=['{misspelt}']" in captured.err
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),
         ("--lambda", "nan"), ("--lambda", "inf"),
     ])
-    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, command, flag, value):
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, flag, value):
         report = tmp_path / "report.json"
-        code = main([command, flag, value, "--format", "structured", "--report", str(report)])
+        code = main(["run", flag, value, "--format", "structured", "--report", str(report)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -154,24 +168,11 @@ class TestRun:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-class TestCompare:
-    def test_compare_defaults(self, capsys):
-        assert main(["compare"]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        assert "scripted" in out
-        assert "object-baseline" in out
-
-    def test_compare_needs_two_backends(self, capsys):
-        code = main(["compare", "--backend", "scripted"])
-        assert code == EXIT_CONFIG
-        assert "exactly two" in capsys.readouterr().err
-
-
 class TestTraceFiles:
     def test_names_outside_the_safe_set_are_percent_encoded(self, tmp_path, capsys):
         # A remote backend spec holds ':' and '/', and so may a scenario id;
         # each name stays one path component, and an unreachable backend's
-        # fallback traces verify and replay.
+        # fallback traces verify.
         scenarios = [
             dataclasses.replace(s, scenario_id=scenario_id)
             for s, scenario_id in zip(builtin_suite(), ["a/b", "S2 ~%", "S3-plain_1.x"])
@@ -192,7 +193,6 @@ class TestTraceFiles:
         )
         for path in trace_dir.iterdir():
             assert main(["verify", str(path)]) == EXIT_CLEAN
-            assert main(["replay", str(path)]) == EXIT_CLEAN
         fallbacks = [r.fallback for r in read_trace(trace_dir / f"{remote_name}__a%2Fb.jsonl")]
         assert fallbacks and all(fallbacks)
 
@@ -206,7 +206,7 @@ class TestTraceFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-class TestVerifyAndReplay:
+class TestVerify:
     @pytest.fixture
     def trace_path(self, tmp_path):
         trace_dir = tmp_path / "traces"
@@ -263,7 +263,7 @@ class TestVerifyAndReplay:
     @pytest.mark.parametrize("field, label", [
         ("category", "NotACategory"), ("tau", "Whenever"), ("phi", "Nope"),
     ])
-    def test_verify_flags_a_label_that_replay_rejects(self, trace_path, capsys, field, label):
+    def test_verify_flags_an_unknown_label(self, trace_path, capsys, field, label):
         records = [
             json.loads(line)
             for line in trace_path.read_text().splitlines() if line
@@ -272,7 +272,6 @@ class TestVerifyAndReplay:
         trace_path.write_text(
             "\n".join(json.dumps(r) for r in records) + "\n"
         )
-        assert main(["replay", str(trace_path)]) == EXIT_CONFIG
         assert main(["verify", str(trace_path)]) == EXIT_VIOLATION
         out = capsys.readouterr().out
         assert f"[label rule] {field}: unknown" in out
@@ -287,20 +286,13 @@ class TestVerifyAndReplay:
         path.write_text("not json\n")
         assert main(["verify", str(path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["verify", "replay"])
     @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
-    def test_unreadable_trace_is_config_error(self, trace_path, command, unreadable):
+    def test_unreadable_trace_is_config_error(self, trace_path, unreadable):
         if unreadable == "directory":
             trace_path = trace_path.parent
         else:
             trace_path.write_bytes(b"\xff" + trace_path.read_bytes())
-        assert main([command, str(trace_path)]) == EXIT_CONFIG
-
-    def test_replay_redelivers(self, trace_path, capsys):
-        assert main(["replay", str(trace_path)]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        assert "channel=nearby" in out
-        assert "deliveries" in out
+        assert main(["verify", str(trace_path)]) == EXIT_CONFIG
 
 
 class TestGen:

@@ -605,6 +605,18 @@ class TestTraceIO:
         with pytest.raises(ValidationError, match="trace.jsonl:1"):
             read_trace(path)
 
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    def test_unreadable_file_raises_naming_the_path(self, tmp_path, s1_obs, scripted, unreadable):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record])
+        if unreadable == "directory":
+            path = tmp_path
+        else:
+            path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(ValidationError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value).startswith(f"cannot read {path}: ")
+
     def test_deeply_nested_line_raises_with_location(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("[" * 200_000 + "\n", encoding="utf-8")

@@ -365,6 +365,14 @@ class TestEndpointValidation:
         with pytest.raises(ConfigurationError, match="timeout must be positive"):
             RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
 
+    def test_timeout_past_the_socket_range_rejected_when_built(self, s1_obs):
+        # 10**12 ticks is 1e11 s, past what a socket can wait; a custom transport takes it.
+        with pytest.raises(ConfigurationError, match="out of range"):
+            RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10**12)
+        backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10**12,
+                                transport=lambda *args: VALID_RESPONSE)
+        assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
+
     def test_timeout_past_the_socket_range_is_transport_error(self):
         # A deadline past a socket's range is refused before any connection is tried.
         with pytest.raises(BackendTransportError, match="timeout"):
