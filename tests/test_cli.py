@@ -45,6 +45,14 @@ class TestBackendSpecs:
         assert excinfo.value.code == 2
         assert "{run,verify,gen}" in capsys.readouterr().err
 
+    def test_help_lists_exactly_run_verify_gen(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "{run,verify,gen}" in out
+        assert "compare" not in out and "replay" not in out
+
 
 class TestRun:
     def test_run_default_suite(self, capsys):
@@ -152,6 +160,16 @@ class TestRun:
         assert main(argv + ["--report", str(a)]) == EXIT_CLEAN
         assert main(argv + ["--report", str(b)]) == EXIT_CLEAN
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_is_ignored(self, tmp_path):
+        # Runs draw no random numbers; fault profiles carry their own seeds.
+        reports = []
+        for seed_args in ([], ["--seed", "1"], ["--seed", "2"]):
+            path = tmp_path / f"report{len(reports)}.json"
+            argv = ["run", *seed_args, "--format", "structured", "--report", str(path)]
+            assert main(argv) == EXIT_CLEAN
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("suite, digest", [
         ("builtin", "20a19019c1213e2def864ca122cd969ccf3c6611610c4354b3f9b2a781d96fa1"),

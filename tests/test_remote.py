@@ -27,7 +27,8 @@ from hazcom import (
     scripted_assess,
     builtin_rule_table,
 )
-from hazcom.clock import VirtualClock
+from hazcom import _http
+from hazcom.clock import TICKS_PER_SECOND, VirtualClock
 from hazcom.perception import (
     decode_assessment,
     decode_observation,
@@ -372,6 +373,16 @@ class TestEndpointValidation:
         backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10**12,
                                 transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
+
+    @pytest.mark.parametrize("timeout_s", [threading.TIMEOUT_MAX, 1e11, math.inf, math.nan])
+    def test_check_timeout_refuses_what_a_socket_cannot_wait(self, timeout_s):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            _http.check_timeout(timeout_s)
+
+    def test_largest_socket_timeout_accepted_when_built(self):
+        ticks = math.ceil(threading.TIMEOUT_MAX * TICKS_PER_SECOND) - 1
+        backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=ticks)
+        assert backend.timeout_ticks == ticks
 
     def test_timeout_past_the_socket_range_is_transport_error(self):
         # A deadline past a socket's range is refused before any connection is tried.
