@@ -7,10 +7,9 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 53 mutants take
-about three and a half minutes (3 min 16 s and 3 min 34 s in two runs),
-where running the whole test suite per mutant took about three for the
-first 17.
+test in one, as pytest names them.  On a 2-CPU machine the 62 mutants take
+about three and three-quarter minutes (3 min 45 s in one run), where
+running the whole test suite per mutant took about three for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
 killed only by a test that names the behaviour it broke.
@@ -56,6 +55,9 @@ _RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
 _BANDING = ("tests/test_core.py::TestBanding::test_band_examples",)
 _POLICY = "tests/test_core.py::TestCharacterAlarmRecipients::"
 _ORACLE = ("tests/test_oracle.py::TestRulesByExample",)
+_GENERATE = "tests/test_harness.py::TestGenerate"
+_DRAW = "tests/test_harness.py::TestWeightedDraw::test_draw_is_choices_with_cum_weights"
+_SHARED = (_GENERATE + "::test_suite_holds_one_object_per_value",)
 
 MUTANTS = (
     Mutant("memo key drops the label", "perception.py",
@@ -103,6 +105,9 @@ MUTANTS = (
     Mutant("socket timeout out of range accepted when built", "perception.py",
            "_http.check_timeout(ticks_to_seconds(timeout_ticks))", "pass",
            ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("remote timeout too large for a float escapes as OverflowError", "perception.py",
+           "except OverflowError:  # an int tick count too large for a float",
+           "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
     Mutant("socket timeout out of range reaches the socket", "_http.py",
            "if not timeout_s < threading.TIMEOUT_MAX:", "if False:",
            ("tests/test_remote.py",)),
@@ -212,6 +217,27 @@ MUTANTS = (
             "test_no_hazard_record_with_alarm_detected",)),
     Mutant("oracle's no-hazard recipient rule dropped", "oracle.py",
            "if recipients:", "if False:", _ORACLE),
+    Mutant("weighted draw scaled by the first weight", "harness.py",
+           "random() * total", "random() * cum[0]", (_DRAW,)),
+    Mutant("weighted draw takes a second random()", "harness.py",
+           "random() * total", "random() * random() * total", (_DRAW,)),
+    Mutant("generated entities rebuilt per observation", "harness.py",
+           'f"{head} in the {phrase}", entities,',
+           'f"{head} in the {phrase}", tuple(Entity(e.object_label, e.attribute) '
+           "for e in entities),", _SHARED),
+    Mutant("generated quiet contexts rebuilt per observation", "harness.py",
+           "contexts[_QUIET])", "EnvContext(contexts[_QUIET].location_type))", _SHARED),
+    Mutant("generated truth rebuilt per step", "harness.py",
+           "else truths[id(verdict)]", "else _step_truth(verdict)", _SHARED),
+    Mutant("equal rule truths kept apart", "harness.py",
+           "= shared.setdefault(truth, truth)", "= truth", _SHARED),
+    Mutant("generate takes a bool count", "harness.py",
+           "if isinstance(n, bool) or not isinstance(n, int) or n < 1:",
+           "if not isinstance(n, int) or n < 1:",
+           (_GENERATE + "::test_n_must_be_a_positive_int",)),
+    Mutant("mix takes a bool number", "harness.py",
+           "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+           "if not isinstance(value, (int, float)):", (_GENERATE,)),
 )
 
 

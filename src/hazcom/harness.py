@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .clock import VirtualClock, ticks_to_seconds
 from .core import (
@@ -57,6 +57,7 @@ from .perception import (
     Entity,
     FaultInjectingBackend,
     FaultProfile,
+    HazardAssessment,
     Observation,
     builtin_rule_table,
     decode_observation,
@@ -114,13 +115,16 @@ def truth_from_rules(obs: Observation) -> Optional[StepTruth]:
     """Derive ground truth by running the builtin rule table on an
     observation; guarantees label/band coherence by construction."""
     assessment = scripted_assess(builtin_rule_table(), obs)
-    if assessment is None:
-        return None
+    return None if assessment is None else _step_truth(assessment)
+
+
+def _step_truth(assessment: HazardAssessment) -> StepTruth:
+    factors = assessment.factors
     return StepTruth(
         category=assessment.category,
-        criticality=assessment.factors.criticality_level,
-        time_sensitivity=assessment.factors.time_sensitivity,
-        feasibility=assessment.factors.feasibility,
+        criticality=factors.criticality_level,
+        time_sensitivity=factors.time_sensitivity,
+        feasibility=factors.feasibility,
         risk=assessment.risk.value,
     )
 
@@ -365,13 +369,47 @@ _BENIGN_POOL: tuple[tuple[tuple[str, str], ...], ...] = (
     (("appliance", "in-use-normal"),),
 )
 
+_CROWDS = tuple(CrowdDensity)
+
+# The pools as generated observations take them, built once and shared by
+# every scenario: each exemplar as (entities, caption head, allowed
+# locations), each benign view as (entities, caption tail), and each
+# location as (phrase, one context per crowd density in ``_CROWDS`` order).
+_EXEMPLARS = {
+    category: tuple(((Entity(label, attribute),), f"{label} {attribute}", allowed)
+                    for label, attribute, allowed in pool)
+    for category, pool in _CATEGORY_POOL.items()
+}
+_BENIGN_VIEWS = tuple(
+    (tuple(Entity(label, attribute) for label, attribute in entities),
+     f", {entities[0][0]} {entities[0][1]}" if entities else ", clear")
+    for entities in _BENIGN_POOL
+)
+_PLACES = {
+    location: (location_phrase(location),
+               tuple(EnvContext(location, crowd) for crowd in _CROWDS))
+    for location in LocationType
+}
+_QUIET = _CROWDS.index(CrowdDensity.NONE)
+
+
+def _is_finite_number(value: object) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
 
 @dataclass(frozen=True)
 class MixConfig:
     """Distribution knobs for generated scenarios.
 
-    Weights are keyed by hazard category and location type; each must be a
-    finite number >= 0, and each table's total must be finite.
+    ``hazard_fraction`` must be a number in [0, 1].  Weights are keyed by
+    hazard category and location type; each must be a finite number >= 0,
+    and each table's total must be finite.  A bool is not a number here.
     """
 
     hazard_fraction: float = 0.8
@@ -383,9 +421,9 @@ class MixConfig:
     )
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.hazard_fraction <= 1.0):
+        if not (_is_finite_number(self.hazard_fraction) and 0 <= self.hazard_fraction <= 1):
             raise ValidationError(
-                f"hazard_fraction {self.hazard_fraction} outside [0, 1]"
+                f"hazard_fraction {self.hazard_fraction!r} must be a number in [0, 1]"
             )
         for name, table, key_type in (
             ("category_weights", self.category_weights, HazardCategory),
@@ -396,13 +434,13 @@ class MixConfig:
                     raise ValidationError(
                         f"{name} key {key!r} is not a {key_type.__name__}"
                     )
-                if not isinstance(weight, (int, float)) or not math.isfinite(weight):
+                if not _is_finite_number(weight):
                     raise ValidationError(
                         f"{name} weight {weight!r} for {key.value} must be a finite number"
                     )
                 if weight < 0:
                     raise ValidationError(f"{name} must be non-negative")
-            if not math.isfinite(sum(table.values())):
+            if not _is_finite_number(sum(table.values())):
                 raise ValidationError(f"{name} must have a finite total")
         if self.hazard_fraction > 0 and not any(
             w > 0 for w in self.category_weights.values()
@@ -412,27 +450,30 @@ class MixConfig:
             raise ValidationError("at least one location weight must be positive")
 
 
-_CROWDS = tuple(CrowdDensity)
-
-
-def _choice_table(weights: Mapping, allowed=None) -> tuple[tuple, list]:
-    """Keys with positive weight (within ``allowed``) and their cumulative
-    weights, in table order, as ``random.choices`` accumulates them."""
-    items = [
+def _choice_table(weights: Mapping, items: Mapping, allowed=None) -> tuple:
+    """The draw table of the keys with positive weight (within ``allowed``),
+    in table order: each key's item from ``items``, the cumulative weights
+    and their total as ``random.choices`` takes them, and the highest index
+    it searches."""
+    pairs = [
         (key, weight) for key, weight in weights.items()
         if weight > 0 and (allowed is None or key in allowed)
     ]
-    if not items:
+    if not pairs:
         # Exemplar constraints can exclude every weighted location; fall
         # back to the allowed set uniformly.
-        items = [(key, 1.0) for key in allowed]
-    keys, values = zip(*items)
-    return keys, list(accumulate(values))
+        pairs = [(key, 1.0) for key in allowed]
+    keys, values = zip(*pairs)
+    cum = list(accumulate(values))
+    return tuple(items[key] for key in keys), cum, cum[-1] + 0.0, len(keys) - 1
 
 
-def _weighted_choice(rng: random.Random, table: tuple[tuple, list]):
-    keys, cum_weights = table
-    return rng.choices(keys, cum_weights=cum_weights)[0]
+def _weighted_choice(random: Callable[[], float], table: tuple):
+    """``rng.choices(items, cum_weights=cum)[0]`` for ``random = rng.random``:
+    the item CPython's ``choices`` picks for ``k=1``, from the same one
+    ``random()``, without re-checking the table or building a list."""
+    items, cum, total, hi = table
+    return items[bisect_right(cum, random() * total, 0, hi)]
 
 
 def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
@@ -440,51 +481,69 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
 
     Ground truth comes from the builtin rule table, so every truth is
     band-coherent by construction.  With the default mix each hazard
-    category appears at least once whenever ``n`` allows it.
+    category appears at least once whenever ``n`` allows it.  ``n`` must
+    be an int >= 1 (not a bool).
+
+    Each weighted choice (category, location) is one ``rng.random()``
+    mapped through the table's cumulative weights exactly as
+    ``rng.choices(keys, cum_weights=…)[0]`` maps it, so the RNG stream and
+    the generated scenarios are those of that call.  Every entity and
+    context comes from the pools above and every truth from one per rule
+    verdict, so scenarios share those objects: equal values are one object.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"n must be an int >= 1, got {n!r}")
     mix = mix if mix is not None else MixConfig()
     rng = random.Random(seed)
-    active_categories = [
-        category for category in HazardCategory
+    draw = rng.random
+    locations = _choice_table(mix.location_weights, _PLACES)
+    # Each exemplar with its location draw table in place of its allowed set.
+    exemplars = {
+        category: tuple(
+            (entities, head, locations if allowed is None
+             else _choice_table(mix.location_weights, _PLACES, allowed))
+            for entities, head, allowed in pool
+        )
+        for category, pool in _EXEMPLARS.items()
+    }
+    forced = [
+        exemplars[category] for category in HazardCategory
         if mix.category_weights.get(category, 0.0) > 0
     ]
-    locations = _choice_table(mix.location_weights)
-    categories = _choice_table(mix.category_weights) if active_categories else None
-    allowed_locations = {
-        allowed: _choice_table(mix.location_weights, allowed)
-        for pool in _CATEGORY_POOL.values() for _, _, allowed in pool
-        if allowed is not None
-    }
-    allowed_locations[None] = locations
+    categories = _choice_table(mix.category_weights, exemplars) if forced else None
+    table = builtin_rule_table()
+    truths: dict[int, StepTruth] = {}  # by the id of a rule's verdict
+    shared: dict[StepTruth, StepTruth] = {}
+    for rule in table.rules:
+        if rule.emission is not None:
+            truth = _step_truth(rule.emission)
+            truths[id(rule.emission)] = shared.setdefault(truth, truth)
     scenarios = []
     for i in range(n):
         steps = rng.randint(1, 3)
         observations = []
+        ground_truth = []
         for t in range(steps):
-            force_category = None
-            if mix.hazard_fraction > 0 and t == 0 and i < len(active_categories):
-                force_category = active_categories[i]
-            if force_category is None and (
-                mix.hazard_fraction == 0.0 or rng.random() >= mix.hazard_fraction
+            exemplar_pool = None
+            if mix.hazard_fraction > 0 and t == 0 and i < len(forced):
+                exemplar_pool = forced[i]
+            if exemplar_pool is None and (
+                mix.hazard_fraction == 0.0 or draw() >= mix.hazard_fraction
             ):
-                entities = rng.choice(_BENIGN_POOL)
-                location = _weighted_choice(rng, locations)
-                caption = (
-                    f"patrol view of the {location_phrase(location)}"
-                    + (f", {entities[0][0]} {entities[0][1]}" if entities else ", clear")
-                )
-                observations.append(_obs(t, caption, entities, location))
-                continue
-            category = force_category or _weighted_choice(rng, categories)
-            label, attribute, allowed = rng.choice(_CATEGORY_POOL[category])
-            location = _weighted_choice(rng, allowed_locations[allowed])
-            crowd = rng.choice(_CROWDS)
-            caption = f"{label} {attribute} in the {location_phrase(location)}"
-            observations.append(_obs(t, caption, [(label, attribute)], location, crowd))
-        truths = tuple(truth_from_rules(o) for o in observations)
-        scenarios.append(Scenario(f"gen-{seed}-{i:03d}", tuple(observations), truths))
+                entities, tail = rng.choice(_BENIGN_VIEWS)
+                phrase, contexts = _weighted_choice(draw, locations)
+                obs = Observation(t, f"patrol view of the {phrase}{tail}", entities,
+                                  contexts[_QUIET])
+            else:
+                entities, head, places = rng.choice(
+                    exemplar_pool or _weighted_choice(draw, categories))
+                phrase, contexts = _weighted_choice(draw, places)
+                obs = Observation(t, f"{head} in the {phrase}", entities, rng.choice(contexts))
+            verdict = scripted_assess(table, obs)
+            observations.append(obs)
+            ground_truth.append(None if verdict is None else truths[id(verdict)])
+        scenarios.append(Scenario(f"gen-{seed}-{i:03d}", tuple(observations),
+                                  tuple(ground_truth)))
     return scenarios
 
 

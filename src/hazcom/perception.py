@@ -603,7 +603,12 @@ class RemoteBackend:
             raise ConfigurationError(f"timeout must be positive and finite, got {timeout_ticks}")
         if transport is None:
             _http.parse_url(endpoint)
-            _http.check_timeout(ticks_to_seconds(timeout_ticks))
+            try:
+                _http.check_timeout(ticks_to_seconds(timeout_ticks))
+            except OverflowError:  # an int tick count too large for a float
+                raise ConfigurationError(
+                    "timeout is out of range: too many ticks to convert to seconds"
+                ) from None
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
         self._transport = http_transport if transport is None else transport

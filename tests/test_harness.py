@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,13 @@ from hazcom.clock import seconds_to_ticks
 from hazcom.cli import EXIT_VIOLATION, main
 from hazcom.core import MessageTuple, RiskScore, band_risk
 from hazcom.engine import read_trace, write_trace
-from hazcom.harness import run_scenario, scenario_file_text, truth_from_rules
+from hazcom.harness import (
+    _choice_table,
+    _weighted_choice,
+    run_scenario,
+    scenario_file_text,
+    truth_from_rules,
+)
 from hazcom.oracle import Violation
 
 
@@ -354,6 +361,47 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(0, 0)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, False, "3", None])
+    def test_n_must_be_a_positive_int(self, n):
+        # A bool is not a count: generate(0, True) must not build one scenario.
+        with pytest.raises(ValidationError, match="n must be an int >= 1"):
+            generate(0, n)
+
+    @pytest.mark.parametrize("fraction", [
+        "0.5", None, True, False, float("nan"), 10**400, -0.1, [0.5],
+    ])
+    def test_bad_hazard_fraction_rejected(self, fraction):
+        with pytest.raises(ValidationError, match="hazard_fraction"):
+            MixConfig(hazard_fraction=fraction)
+
+    def test_int_hazard_fractions_accepted(self):
+        assert generate(3, 10, MixConfig(hazard_fraction=0)) == generate(
+            3, 10, MixConfig(hazard_fraction=0.0))
+        assert generate(3, 10, MixConfig(hazard_fraction=1)) == generate(
+            3, 10, MixConfig(hazard_fraction=1.0))
+
+    @pytest.mark.parametrize("mix", [
+        None,
+        MixConfig(hazard_fraction=1.0),
+        MixConfig(hazard_fraction=0.3, location_weights={
+            LocationType.KITCHEN: 1.0, LocationType.OFFICE: 2.0}),
+    ], ids=["default", "all-hazards", "kitchen-and-office"])
+    def test_suite_holds_one_object_per_value(self, mix):
+        suite = generate(8, 300, mix)
+        objects: dict[str, dict] = {"entity": {}, "context": {}, "truth": {}}
+        for scenario in suite:
+            for obs, truth in zip(scenario.observations, scenario.ground_truth):
+                values = [("context", obs.env)]
+                values += [("entity", entity) for entity in obs.salient_entities]
+                if truth is not None:
+                    values.append(("truth", truth))
+                for kind, value in values:
+                    objects[kind].setdefault(value, set()).add(id(value))
+        for kind, ids_by_value in objects.items():
+            assert ids_by_value, kind
+            shared = {value: ids for value, ids in ids_by_value.items() if len(ids) > 1}
+            assert not shared, f"{kind}: {sorted(map(repr, shared))}"
+
     def test_truths_band_coherent(self):
         for scenario in generate(9, 30):
             for truth in scenario.ground_truth:
@@ -366,6 +414,9 @@ class TestGenerate:
         {HazardCategory.WASTE: float("-inf")},
         {HazardCategory.WASTE: 1e308, HazardCategory.DISTRESS: 1e308},
         {HazardCategory.WASTE: "1.0"},
+        {HazardCategory.WASTE: True},
+        {HazardCategory.WASTE: 10**400},
+        {HazardCategory.WASTE: 10**308, HazardCategory.DISTRESS: 10**308},
         {"Waste": 1.0},
         {LocationType.KITCHEN: 1.0},
     ])
@@ -377,6 +428,8 @@ class TestGenerate:
         {LocationType.KITCHEN: float("inf")},
         {LocationType.KITCHEN: float("nan")},
         {LocationType.KITCHEN: 1e308, LocationType.OFFICE: 1e308},
+        {LocationType.KITCHEN: True},
+        {LocationType.KITCHEN: False, LocationType.OFFICE: 1.0},
         {"kitchen": 1.0},
         {HazardCategory.WASTE: 1.0},
     ])
@@ -418,6 +471,26 @@ class TestGenerate:
             t.category for s in suite for t in s.ground_truth if t is not None
         }
         assert seen == {HazardCategory.WASTE}
+
+
+_WEIGHTS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+class TestWeightedDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(_WEIGHTS, min_size=1, max_size=8), seed=st.integers(0, 2**64))
+    def test_draw_is_choices_with_cum_weights(self, weights, seed):
+        # One key included: choices then still draws its one random().
+        keys = [f"key-{index}" for index in range(len(weights))]
+        table = _choice_table(dict(zip(keys, weights)), {key: key for key in keys})
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = reference.choices(keys, cum_weights=list(accumulate(weights)))[0]
+            assert _weighted_choice(rng.random, table) == expected
+        assert rng.random() == reference.random()
 
 
 class TestRunSuite:

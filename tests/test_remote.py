@@ -374,6 +374,14 @@ class TestEndpointValidation:
                                 transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
 
+    def test_timeout_too_large_for_a_float_rejected_when_built(self, s1_obs):
+        # 10**400 ticks has no float in seconds; a custom transport still takes it.
+        with pytest.raises(ConfigurationError, match="timeout is out of range"):
+            RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10**400)
+        backend = RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=10**400,
+                                transport=lambda *args: VALID_RESPONSE)
+        assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
+
     @pytest.mark.parametrize("timeout_s", [threading.TIMEOUT_MAX, 1e11, math.inf, math.nan])
     def test_check_timeout_refuses_what_a_socket_cannot_wait(self, timeout_s):
         with pytest.raises(ConfigurationError, match="out of range"):
