@@ -218,9 +218,9 @@ MUTANTS = (
     Mutant("oracle's no-hazard recipient rule dropped", "oracle.py",
            "if recipients:", "if False:", _ORACLE),
     Mutant("weighted draw scaled by the first weight", "harness.py",
-           "random() * total", "random() * cum[0]", (_DRAW,)),
+           "draw() * total", "draw() * cum[0]", (_DRAW,)),
     Mutant("weighted draw takes a second random()", "harness.py",
-           "random() * total", "random() * random() * total", (_DRAW,)),
+           "draw() * total", "draw() * draw() * total", (_DRAW,)),
     Mutant("generated entities rebuilt per observation", "harness.py",
            'f"{head} in the {phrase}", entities,',
            'f"{head} in the {phrase}", tuple(Entity(e.object_label, e.attribute) '
@@ -228,7 +228,7 @@ MUTANTS = (
     Mutant("generated quiet contexts rebuilt per observation", "harness.py",
            "contexts[_QUIET])", "EnvContext(contexts[_QUIET].location_type))", _SHARED),
     Mutant("generated truth rebuilt per step", "harness.py",
-           "else truths[id(verdict)]", "else _step_truth(verdict)", _SHARED),
+           "else truths[id(assessment)]", "else _step_truth(assessment)", _SHARED),
     Mutant("equal rule truths kept apart", "harness.py",
            "= shared.setdefault(truth, truth)", "= truth", _SHARED),
     Mutant("generate takes a bool count", "harness.py",

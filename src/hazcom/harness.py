@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -59,6 +60,7 @@ from .perception import (
     FaultProfile,
     HazardAssessment,
     Observation,
+    RuleTable,
     builtin_rule_table,
     decode_observation,
     encode_observation,
@@ -113,9 +115,27 @@ def _obs(
 
 def truth_from_rules(obs: Observation) -> Optional[StepTruth]:
     """Derive ground truth by running the builtin rule table on an
-    observation; guarantees label/band coherence by construction."""
-    assessment = scripted_assess(builtin_rule_table(), obs)
-    return None if assessment is None else _step_truth(assessment)
+    observation; guarantees label/band coherence by construction.  Each
+    rule verdict has one truth, shared by every step that draws it."""
+    table, truths = _rule_truths()
+    assessment = scripted_assess(table, obs)
+    return None if assessment is None else truths[id(assessment)]
+
+
+@lru_cache(maxsize=1)
+def _rule_truths() -> tuple[RuleTable, dict[int, StepTruth]]:
+    """The builtin rule table with one ``StepTruth`` per rule verdict, keyed
+    by the verdict's id so that a lookup hashes an int, never the
+    assessment's fields.  Equal truths of different rules are one object.
+    The table is kept with the map, so each keyed verdict stays alive."""
+    table = builtin_rule_table()
+    truths: dict[int, StepTruth] = {}
+    shared: dict[StepTruth, StepTruth] = {}
+    for rule in table.rules:
+        if rule.emission is not None:
+            truth = _step_truth(rule.emission)
+            truths[id(rule.emission)] = shared.setdefault(truth, truth)
+    return table, truths
 
 
 def _step_truth(assessment: HazardAssessment) -> StepTruth:
@@ -468,12 +488,12 @@ def _choice_table(weights: Mapping, items: Mapping, allowed=None) -> tuple:
     return tuple(items[key] for key in keys), cum, cum[-1] + 0.0, len(keys) - 1
 
 
-def _weighted_choice(random: Callable[[], float], table: tuple):
-    """``rng.choices(items, cum_weights=cum)[0]`` for ``random = rng.random``:
+def _weighted_choice(draw: Callable[[], float], table: tuple):
+    """``rng.choices(items, cum_weights=cum)[0]`` for ``draw = rng.random``:
     the item CPython's ``choices`` picks for ``k=1``, from the same one
-    ``random()``, without re-checking the table or building a list."""
+    ``draw()``, without re-checking the table or building a list."""
     items, cum, total, hi = table
-    return items[bisect_right(cum, random() * total, 0, hi)]
+    return items[bisect_right(cum, draw() * total, 0, hi)]
 
 
 def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
@@ -488,8 +508,9 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
     mapped through the table's cumulative weights exactly as
     ``rng.choices(keys, cum_weights=…)[0]`` maps it, so the RNG stream and
     the generated scenarios are those of that call.  Every entity and
-    context comes from the pools above and every truth from one per rule
-    verdict, so scenarios share those objects: equal values are one object.
+    context comes from the pools above and every truth from
+    ``truth_from_rules``, one per rule verdict, so scenarios share those
+    objects: equal values are one object.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be an int >= 1, got {n!r}")
@@ -511,13 +532,6 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
         if mix.category_weights.get(category, 0.0) > 0
     ]
     categories = _choice_table(mix.category_weights, exemplars) if forced else None
-    table = builtin_rule_table()
-    truths: dict[int, StepTruth] = {}  # by the id of a rule's verdict
-    shared: dict[StepTruth, StepTruth] = {}
-    for rule in table.rules:
-        if rule.emission is not None:
-            truth = _step_truth(rule.emission)
-            truths[id(rule.emission)] = shared.setdefault(truth, truth)
     scenarios = []
     for i in range(n):
         steps = rng.randint(1, 3)
@@ -539,9 +553,8 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
                     exemplar_pool or _weighted_choice(draw, categories))
                 phrase, contexts = _weighted_choice(draw, places)
                 obs = Observation(t, f"{head} in the {phrase}", entities, rng.choice(contexts))
-            verdict = scripted_assess(table, obs)
             observations.append(obs)
-            ground_truth.append(None if verdict is None else truths[id(verdict)])
+            ground_truth.append(truth_from_rules(obs))
         scenarios.append(Scenario(f"gen-{seed}-{i:03d}", tuple(observations),
                                   tuple(ground_truth)))
     return scenarios
