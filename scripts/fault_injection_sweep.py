@@ -12,9 +12,10 @@ import argparse
 
 from hazcom import Engine, EngineConfig, ScriptedBackend, builtin_suite
 from hazcom.clock import seconds_to_ticks, ticks_to_seconds
-from hazcom.harness import Scenario, run_scenario
+from hazcom.harness import run_scenario
 from hazcom.metrics import latency_compliance
 from hazcom.perception import FaultProfile
+from hazcom.scenarios import Scenario
 
 
 def main() -> None:

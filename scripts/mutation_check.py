@@ -7,8 +7,8 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 62 mutants take
-about three and three-quarter minutes (3 min 45 s in one run), where
+test in one, as pytest names them.  On a 2-CPU machine the 64 mutants take
+three to four minutes (2 min 56 s and 4 min 17 s in two runs), where
 running the whole test suite per mutant took about three for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
@@ -18,7 +18,8 @@ The unmutated sources are run through the same tests first, so that a
 failing suite cannot pass for a killed mutant.  A mutant is killed only when
 a test fails (pytest exit 1), a test module fails to collect (exit 2), or
 the mutated package does not import at all, so that pytest cannot load
-``tests/conftest.py`` (exit 4, checked with ``import hazcom``).  It survives
+``tests/conftest.py`` (exit 4, checked with ``import hazcom.cli``, which loads
+every module the conftest can; ``import hazcom`` loads none).  It survives
 when its tests pass (exit 0); any other exit, such as no test left after the
 digest filter (5), means nothing judged it.  Exits 0 when every mutant is
 killed, 1 naming each survivor, and 2 when a mutant does not apply, nothing
@@ -107,6 +108,9 @@ MUTANTS = (
            ("tests/test_remote.py::TestEndpointValidation",)),
     Mutant("remote timeout too large for a float escapes as OverflowError", "perception.py",
            "except OverflowError:  # an int tick count too large for a float",
+           "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("transport lets a tick count too large for a float escape", "perception.py",
+           "except OverflowError:  # a tick count too large to convert to seconds",
            "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
     Mutant("socket timeout out of range reaches the socket", "_http.py",
            "if not timeout_s < threading.TIMEOUT_MAX:", "if False:",
@@ -217,27 +221,31 @@ MUTANTS = (
             "test_no_hazard_record_with_alarm_detected",)),
     Mutant("oracle's no-hazard recipient rule dropped", "oracle.py",
            "if recipients:", "if False:", _ORACLE),
-    Mutant("weighted draw scaled by the first weight", "harness.py",
+    Mutant("weighted draw scaled by the first weight", "scenarios.py",
            "draw() * total", "draw() * cum[0]", (_DRAW,)),
-    Mutant("weighted draw takes a second random()", "harness.py",
+    Mutant("weighted draw takes a second random()", "scenarios.py",
            "draw() * total", "draw() * draw() * total", (_DRAW,)),
-    Mutant("generated entities rebuilt per observation", "harness.py",
+    Mutant("generated entities rebuilt per observation", "scenarios.py",
            'f"{head} in the {phrase}", entities,',
            'f"{head} in the {phrase}", tuple(Entity(e.object_label, e.attribute) '
            "for e in entities),", _SHARED),
-    Mutant("generated quiet contexts rebuilt per observation", "harness.py",
+    Mutant("generated quiet contexts rebuilt per observation", "scenarios.py",
            "contexts[_QUIET])", "EnvContext(contexts[_QUIET].location_type))", _SHARED),
-    Mutant("generated truth rebuilt per step", "harness.py",
+    Mutant("generated truth rebuilt per step", "scenarios.py",
            "else truths[id(assessment)]", "else _step_truth(assessment)", _SHARED),
-    Mutant("equal rule truths kept apart", "harness.py",
+    Mutant("equal rule truths kept apart", "scenarios.py",
            "= shared.setdefault(truth, truth)", "= truth", _SHARED),
-    Mutant("generate takes a bool count", "harness.py",
+    Mutant("generate takes a bool count", "scenarios.py",
            "if isinstance(n, bool) or not isinstance(n, int) or n < 1:",
            "if not isinstance(n, int) or n < 1:",
            (_GENERATE + "::test_n_must_be_a_positive_int",)),
-    Mutant("mix takes a bool number", "harness.py",
+    Mutant("mix takes a bool number", "scenarios.py",
            "if isinstance(value, bool) or not isinstance(value, (int, float)):",
            "if not isinstance(value, (int, float)):", (_GENERATE,)),
+    Mutant("package init imports every module eagerly", "__init__.py",
+           "sys.modules[__name__].__class__ = _Package",
+           "sys.modules[__name__].__class__ = _Package\nfor _name in __all__:\n"
+           "    __getattr__(_name)", ("tests/test_package.py",)),
 )
 
 
@@ -289,7 +297,7 @@ def main() -> int:
             code = run_tests(src, mutant.tests)
             if code in KILLED:
                 print(f"killed: {mutant.name}", flush=True)
-            elif code == 4 and run(src, "-c", "import hazcom") != 0:
+            elif code == 4 and run(src, "-c", "import hazcom.cli") != 0:
                 print(f"killed at import: {mutant.name}", flush=True)
             elif code == 0:
                 print(f"SURVIVED: {mutant.name}", flush=True)

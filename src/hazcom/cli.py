@@ -24,16 +24,7 @@ from .core import (
     enum_from_label,
 )
 from .engine import EngineConfig, read_json_lines, write_trace
-from .harness import (
-    MixConfig,
-    SuiteReport,
-    builtin_suite,
-    generate,
-    load_scenarios,
-    run_suite,
-    scenario_file_text,
-    sixty_run_suite,
-)
+from .harness import SuiteReport, run_suite
 from .oracle import oracle_verify
 from .perception import (
     Backend,
@@ -41,6 +32,14 @@ from .perception import (
     ObjectBaselineBackend,
     RemoteBackend,
     ScriptedBackend,
+)
+from .scenarios import (
+    MixConfig,
+    builtin_suite,
+    generate,
+    load_scenarios,
+    scenario_file_text,
+    sixty_run_suite,
 )
 
 EXIT_CLEAN = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import (
     Criticality,
@@ -23,8 +23,10 @@ from .core import (
     tone_in_band,
     RiskScore,
 )
-from .dispatch import DeliveryRecord
-from .engine import TraceRecord
+
+if TYPE_CHECKING:  # records are only read here, so scoring never loads the engine
+    from .dispatch import DeliveryRecord
+    from .engine import TraceRecord
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
-from . import _http
 from .clock import Clock, ticks_to_seconds
 from .core import (
     Criticality,
@@ -571,9 +570,18 @@ Transport = Callable[[str, dict, int], dict]
 
 
 def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
-    """Default transport: blocking JSON POST with a whole-exchange deadline."""
+    """Default transport: blocking JSON POST with a whole-exchange deadline.
+
+    The HTTP client (and with it ``socket``) loads on the first post.
+    """
+    from . import _http
+
     try:
         return _http.post_json(endpoint, request, ticks_to_seconds(timeout_ticks))
+    except OverflowError:  # a tick count too large to convert to seconds
+        raise BackendTransportError(
+            "timeout is out of range: too many ticks to convert to seconds"
+        ) from None
     except TimeoutError as exc:
         raise BackendTimeout(str(exc)) from exc
     except ConnectionError as exc:
@@ -602,6 +610,8 @@ class RemoteBackend:
         if not 0 < timeout_ticks < math.inf:
             raise ConfigurationError(f"timeout must be positive and finite, got {timeout_ticks}")
         if transport is None:
+            from . import _http
+
             _http.parse_url(endpoint)
             try:
                 _http.check_timeout(ticks_to_seconds(timeout_ticks))

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from hazcom import builtin_suite, read_trace, save_scenarios
+from hazcom import read_trace
 from hazcom.cli import EXIT_CLEAN, EXIT_CONFIG, EXIT_VIOLATION, main
+from hazcom.scenarios import builtin_suite, save_scenarios
 
 
 class TestBackendSpecs:
@@ -353,7 +354,7 @@ class TestGen:
         path = tmp_path / "generated.json"
         code = main(["gen", "--seed", "5", "--n", "12", "--report", str(path)])
         assert code == EXIT_CLEAN
-        from hazcom import load_scenarios
+        from hazcom.scenarios import load_scenarios
 
         assert len(load_scenarios(path)) == 12
 

@@ -8,8 +8,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazcom import ConfigurationError, ScriptedBackend, builtin_suite, generate
-from hazcom.harness import scenario_from_dict, scenario_to_dict
+from hazcom import ConfigurationError, ScriptedBackend
 from hazcom.perception import (
     BackendResponseError,
     FaultProfile,
@@ -18,6 +17,7 @@ from hazcom.perception import (
     encode_assessment,
     encode_observation,
 )
+from hazcom.scenarios import builtin_suite, generate, scenario_from_dict, scenario_to_dict
 
 _SCENARIOS = builtin_suite() + generate(5, 4)
 _SCENARIOS[-1] = dataclasses.replace(

@@ -17,33 +17,33 @@ from hazcom import (
     HazardCategory,
     LocationBaselineBackend,
     LocationType,
-    MixConfig,
     ObjectBaselineBackend,
-    Scenario,
     ScriptedBackend,
     ValidationError,
     builtin_rule_table,
-    builtin_suite,
-    generate,
-    load_scenarios,
     recipients_for,
     run_suite,
-    save_scenarios,
     scripted_assess,
-    sixty_run_suite,
 )
 from hazcom.clock import seconds_to_ticks
 from hazcom.cli import EXIT_VIOLATION, main
 from hazcom.core import MessageTuple, RiskScore, band_risk
 from hazcom.engine import read_trace, write_trace
-from hazcom.harness import (
+from hazcom.harness import run_scenario
+from hazcom.oracle import Violation
+from hazcom.scenarios import (
+    MixConfig,
+    Scenario,
     _choice_table,
     _weighted_choice,
-    run_scenario,
+    builtin_suite,
+    generate,
+    load_scenarios,
+    save_scenarios,
     scenario_file_text,
+    sixty_run_suite,
     truth_from_rules,
 )
-from hazcom.oracle import Violation
 
 
 def local_backends():

@@ -397,6 +397,18 @@ class TestEndpointValidation:
         with pytest.raises(BackendTransportError, match="timeout"):
             http_transport("http://127.0.0.1:9/assess", {}, 10**12)
 
+    def test_timeout_too_large_for_a_float_is_transport_error(self, s1_obs):
+        # Passed as a custom transport, http_transport skips the check made when
+        # the backend is built, so it names the fault itself.
+        with pytest.raises(BackendTransportError, match="timeout is out of range"):
+            http_transport("http://127.0.0.1:9/assess", {}, 10**400)
+        backend = RemoteBackend("http://127.0.0.1:9/assess", 10**400, transport=http_transport)
+        with pytest.raises(BackendTransportError, match="timeout is out of range"):
+            backend.assess(s1_obs)
+        result = Engine().step(s1_obs, backend)
+        assert result.fallback_used
+        assert oracle_verify([result.record.to_wire()]) == []
+
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
