@@ -7,8 +7,8 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 64 mutants take
-three to four minutes (2 min 56 s and 4 min 17 s in two runs), where
+test in one, as pytest names them.  On a 2-CPU machine the 65 mutants take
+about three and a half minutes (3 min 31 s), where
 running the whole test suite per mutant took about three for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
@@ -112,6 +112,9 @@ MUTANTS = (
     Mutant("transport lets a tick count too large for a float escape", "perception.py",
            "except OverflowError:  # a tick count too large to convert to seconds",
            "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("HTTP client loads the stdlib HTTP library", "_http.py",
+           "import json\nimport re\n", "import http.client\nimport json\nimport re\n",
+           ("tests/test_remote.py::test_import_loads_no_http_client_library",)),
     Mutant("socket timeout out of range reaches the socket", "_http.py",
            "if not timeout_s < threading.TIMEOUT_MAX:", "if False:",
            ("tests/test_remote.py",)),

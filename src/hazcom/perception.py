@@ -577,11 +577,13 @@ def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
     from . import _http
 
     try:
-        return _http.post_json(endpoint, request, ticks_to_seconds(timeout_ticks))
+        timeout_s = ticks_to_seconds(timeout_ticks)
     except OverflowError:  # a tick count too large to convert to seconds
         raise BackendTransportError(
             "timeout is out of range: too many ticks to convert to seconds"
         ) from None
+    try:
+        return _http.post_json(endpoint, request, timeout_s)
     except TimeoutError as exc:
         raise BackendTimeout(str(exc)) from exc
     except ConnectionError as exc:

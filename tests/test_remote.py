@@ -419,7 +419,7 @@ def test_import_loads_no_http_client_library():
     env = dict(os.environ, PYTHONPATH=src)
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import hazcom, sys; print(*sorted(m for m in ('urllib.request', 'http.client', "
+         "import hazcom._http, hazcom.cli, sys; print(*sorted(m for m in ('urllib.request', 'http.client', "
          "'email.parser', 'ssl') if m in sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     ).stdout
