@@ -13,20 +13,33 @@ import re
 import socket
 import threading
 import time
+from functools import lru_cache
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .core import ConfigurationError
 
 MAX_REPLY_BYTES = 1 << 20
+_ENDPOINTS_KEPT = 32  # parsed URLs kept; a process posts to a handful
 _STATUS_LINE = re.compile(rb"HTTP/\d+(?:\.\d+)? (\d{3})(?: [^\r\n]*)?(?:\r\n|\Z)")
 _CONTENT_LENGTH = re.compile(rb"\r\ncontent-length[ \t]*:[ \t]*(\d+)[ \t]*\r\n", re.I)
 _TRANSFER_ENCODING = re.compile(rb"\r\ntransfer-encoding[ \t]*:", re.I)
 _UNSAFE_URL_CHAR = re.compile(r"[^\x21-\x7e]")  # space, control or non-ASCII
 
 
-def parse_url(url: str) -> tuple[tuple[str, int], str, str]:
-    """Return the socket address, ``Host`` header and request path of ``url``,
-    or raise ConfigurationError unless it is an ``http://`` URL with a host."""
+class Endpoint(NamedTuple):
+    """What every post to one URL shares."""
+
+    host: bytes  # the host name as the IDNA codec encodes it
+    port: int
+    head: bytes  # the request head, up to the value of Content-Length
+    addresses: tuple  # getaddrinfo's answer for a numeric host; empty for a name
+
+
+@lru_cache(maxsize=_ENDPOINTS_KEPT)
+def parse_url(url: str) -> Endpoint:
+    """Return what every post to ``url`` shares, or raise ConfigurationError
+    unless it is an ``http://`` URL with a host the IDNA codec can encode."""
     try:
         parts = urlsplit(url)
         port = parts.port  # ValueError on a broken IPv6 host or a port not in 0-65535
@@ -34,15 +47,28 @@ def parse_url(url: str) -> tuple[tuple[str, int], str, str]:
         raise ConfigurationError(f"bad endpoint {url!r}: {exc}") from exc
     if parts.scheme != "http" or not parts.hostname or _UNSAFE_URL_CHAR.search(url):
         raise ConfigurationError(f"endpoint must be an http://host[:port]/path URL, got {url!r}")
+    try:
+        host = parts.hostname.encode("idna")  # as getaddrinfo would on every post
+    except UnicodeError as exc:  # an empty label or one over 63 characters
+        raise ConfigurationError(f"bad host in endpoint {url!r}: {exc}") from exc
+    port = 80 if port is None else port
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    host = parts.netloc.rpartition("@")[2]  # host and port, never userinfo
-    return (parts.hostname, 80 if port is None else port), host, path
+    head = (
+        f"POST {path} HTTP/1.0\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"  # no userinfo
+        "Content-Type: application/json\r\nContent-Length: "
+    ).encode("ascii")
+    try:  # a numeric host needs no lookup, so its answer holds for every post
+        addresses = tuple(socket.getaddrinfo(host, port, 0, socket.SOCK_STREAM, 0,
+                                             socket.AI_NUMERICHOST))
+    except OSError:  # a name, resolved on each post
+        addresses = ()
+    return Endpoint(host, port, head, addresses)
 
 
 def check_timeout(timeout_s: float) -> None:
     """Raise ConfigurationError unless a socket can wait ``timeout_s`` seconds."""
     if not timeout_s < threading.TIMEOUT_MAX:
-        # A socket past this range raises OverflowError, and create_connection leaks it.
+        # A socket past this range raises OverflowError, and _connect leaks it.
         raise ConfigurationError(
             f"timeout {timeout_s}s is out of range (at most {threading.TIMEOUT_MAX}s)"
         )
@@ -51,25 +77,27 @@ def check_timeout(timeout_s: float) -> None:
 def post_json(url: str, document: dict, timeout_s: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
-    ``timeout_s`` bounds the whole exchange (a blocking name lookup aside).
-    Raises TimeoutError when it passes, ConnectionError on a transport
-    failure (an unusable URL or timeout, an unreachable host, a status
-    outside 2xx, a reply that breaks HTTP framing), and ValueError on an
-    oversized reply or a body that is not a JSON object.
+    ``url`` is parsed, its request head framed and its host checked on the
+    first post to it only.  A numeric host is connected without a lookup; a
+    named host is resolved on every post.  ``timeout_s`` bounds the whole
+    exchange (that blocking name lookup aside).  Raises TimeoutError when it
+    passes, ConnectionError on a transport failure (an unusable URL or
+    timeout, an unreachable host, a status outside 2xx, a reply that breaks
+    HTTP framing), and ValueError on an oversized reply or a body that is not
+    a JSON object.
     """
     deadline = time.monotonic() + timeout_s
     try:
         check_timeout(timeout_s)
-        address, host, path = parse_url(url)
+        endpoint = parse_url(url)
     except ConfigurationError as exc:
         raise ConnectionError(f"cannot reach {url}: {exc}") from exc
     body = json.dumps(document).encode("utf-8")
-    request = (
-        f"POST {path} HTTP/1.0\r\nHost: {host}\r\nContent-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-    ).encode("ascii") + body
+    request = endpoint.head + b"%d\r\nConnection: close\r\n\r\n" % len(body) + body
     try:
-        with socket.create_connection(address, _remaining(deadline)) as sock:
+        addresses = endpoint.addresses or socket.getaddrinfo(
+            endpoint.host, endpoint.port, 0, socket.SOCK_STREAM)
+        with _connect(addresses, deadline) as sock:
             sock.settimeout(_remaining(deadline))
             sock.sendall(request)
             reply, end = _receive(sock, deadline)
@@ -101,6 +129,22 @@ def _remaining(deadline: float) -> float:
     if left <= 0:
         raise TimeoutError
     return left
+
+
+def _connect(addresses: tuple | list, deadline: float) -> socket.socket:
+    """A socket connected to the first of ``addresses`` that accepts, as
+    ``socket.create_connection`` would; raise the last failure if none does."""
+    error = OSError("getaddrinfo returns an empty list")
+    for family, kind, proto, _, address in addresses:
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.settimeout(_remaining(deadline))
+            sock.connect(address)
+            return sock
+        except OSError as exc:
+            sock.close()
+            error = exc
+    raise error
 
 
 def _receive(sock: socket.socket, deadline: float) -> tuple[bytearray, int | None]:

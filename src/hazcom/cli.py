@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import quote
 
 from .clock import seconds_to_ticks
@@ -23,9 +24,6 @@ from .core import (
     ValidationError,
     enum_from_label,
 )
-from .engine import EngineConfig, read_json_lines, write_trace
-from .harness import SuiteReport, run_suite
-from .oracle import oracle_verify
 from .perception import (
     Backend,
     LocationBaselineBackend,
@@ -41,6 +39,10 @@ from .scenarios import (
     scenario_file_text,
     sixty_run_suite,
 )
+
+if TYPE_CHECKING:  # a subcommand loads the modules it runs; ``gen`` runs none of these
+    from .engine import EngineConfig
+    from .harness import SuiteReport
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
@@ -73,6 +75,8 @@ def _load_suite(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
+    from .engine import EngineConfig
+
     try:
         t_max = seconds_to_ticks(args.t_max)
     except (OverflowError, ValueError) as exc:  # inf or NaN seconds
@@ -98,6 +102,8 @@ def _render_report(report: SuiteReport, fmt: str) -> str:
 
 
 def _write_traces(report: SuiteReport, trace_dir: str) -> None:
+    from .engine import write_trace
+
     directory = Path(trace_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for backend_name in report.backend_names:
@@ -111,6 +117,8 @@ def _write_traces(report: SuiteReport, trace_dir: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .harness import run_suite
+
     scenarios = _load_suite(args)
     config = _build_config(args)
     specs = args.backends or ["scripted"]
@@ -123,6 +131,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .engine import read_json_lines
+    from .oracle import oracle_verify
+
     records = [doc for _, doc in read_json_lines(args.trace_file)]
     violations = oracle_verify(records)
     for violation in violations:

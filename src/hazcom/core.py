@@ -40,14 +40,15 @@ def check_fields(doc: object, fields: FieldTable, what: str,
     types of ``fields``; otherwise raise ``error`` saying what is wrong."""
     if type(doc) is not dict:
         raise error(f"{what} must be a JSON object")
-    required = [key for key, (_, _, needed) in fields.items() if needed]
-    missing = [key for key in required if key not in doc]
-    unknown = [key for key in doc if key not in fields]
-    if missing or unknown:
-        optional = [key for key in fields if key not in required]
-        also = f" and optionally {optional}" if optional else ""
-        raise error(f"{what} must have exactly the fields {required}{also}; "
-                    f"missing={missing} unknown={unknown}")
+    if doc.keys() != fields.keys():  # else every field is there and no other
+        required = [key for key, (_, _, needed) in fields.items() if needed]
+        missing = [key for key in required if key not in doc]
+        unknown = [key for key in doc if key not in fields]
+        if missing or unknown:
+            optional = [key for key in fields if key not in required]
+            also = f" and optionally {optional}" if optional else ""
+            raise error(f"{what} must have exactly the fields {required}{also}; "
+                        f"missing={missing} unknown={unknown}")
     for key, (types, name, _) in fields.items():
         if key in doc and type(doc[key]) not in types:
             raise error(f"{key!r} must be {name}, got {doc[key]!r}")

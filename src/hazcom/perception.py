@@ -572,7 +572,9 @@ Transport = Callable[[str, dict, int], dict]
 def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
     """Default transport: blocking JSON POST with a whole-exchange deadline.
 
-    The HTTP client (and with it ``socket``) loads on the first post.
+    The HTTP client (and with it ``socket``) loads on the first post.  Each
+    endpoint is parsed, framed and checked once, and a numeric host is
+    connected without a lookup; a named host is resolved on every post.
     """
     from . import _http
 
@@ -597,8 +599,8 @@ class RemoteBackend:
 
     The timeout must be positive and finite; without a custom ``transport``
     it must also be one a socket can wait, and the endpoint an ``http://``
-    URL with a host.  Anything else raises ConfigurationError here, not on
-    each step.  A timeout, a transport
+    URL with a host the IDNA codec can encode.  Anything else raises
+    ConfigurationError here, not on each step.  A timeout, a transport
     failure and a malformed response each raise their own error type from
     :meth:`assess`; none is ever reported as "no hazard".
     """

@@ -44,6 +44,15 @@ def test_generation_loads_no_engine_dispatch_oracle_or_http_client():
     assert [m for m in loaded if m.split(".")[1] in ("engine", "oracle", "dispatch", "_http")] == []
 
 
+def test_gen_subcommand_loads_no_suite_execution():
+    loaded = loaded_after("import contextlib, io\nfrom hazcom import cli\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          "    cli.main(['gen', '--seed', '0', '--n', '1'])")
+    assert "hazcom.scenarios" in loaded
+    assert [m for m in loaded
+            if m.split(".")[1] in ("engine", "harness", "oracle", "dispatch")] == []
+
+
 def test_package_import_loads_no_submodule():
     assert loaded_after("import hazcom") == []
 
