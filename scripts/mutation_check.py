@@ -7,8 +7,8 @@ A mutant is one exact text replacement in one file under ``src/hazcom``; its
 old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
-test in one, as pytest names them.  On a 2-CPU machine the 69 mutants take
-about four and a half minutes (4 min 22 s), where
+test in one, as pytest names them.  On a 2-CPU machine the 72 mutants take
+about three minutes (3 min 2 s), where
 running the whole test suite per mutant took about three for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
@@ -60,6 +60,8 @@ _ORACLE = ("tests/test_oracle.py::TestRulesByExample",)
 _GENERATE = "tests/test_harness.py::TestGenerate"
 _DRAW = "tests/test_harness.py::TestWeightedDraw::test_draw_is_choices_with_cum_weights"
 _SHARED = (_GENERATE + "::test_suite_holds_one_object_per_value",)
+_PLAIN = (_GENERATE + "::test_equals_the_plain_generator",)
+_INDEX = "tests/test_harness.py::TestWeightedDraw::test_index_draw_is_choice_and_randint"
 
 MUTANTS = (
     Mutant("memo key drops the label", "perception.py",
@@ -244,11 +246,18 @@ MUTANTS = (
     Mutant("weighted draw takes a second random()", "scenarios.py",
            "draw() * total", "draw() * draw() * total", (_DRAW,)),
     Mutant("generated entities rebuilt per observation", "scenarios.py",
-           'f"{head} in the {phrase}", entities,',
-           'f"{head} in the {phrase}", tuple(Entity(e.object_label, e.attribute) '
-           "for e in entities),", _SHARED),
-    Mutant("generated quiet contexts rebuilt per observation", "scenarios.py",
-           "contexts[_QUIET])", "EnvContext(contexts[_QUIET].location_type))", _SHARED),
+           "view[1].format(phrase), view[0],",
+           "view[1].format(phrase), tuple(Entity(e.object_label, e.attribute) "
+           "for e in view[0]),", _SHARED),
+    Mutant("generated contexts rebuilt per observation", "scenarios.py",
+           "contexts[crowd])",
+           "EnvContext(contexts[crowd].location_type, contexts[crowd].crowd_density))", _SHARED),
+    Mutant("generated step key drops the step index", "scenarios.py",
+           "key = (t, id(view),", "key = (id(view),", _PLAIN),
+    Mutant("generated step key drops the crowd", "scenarios.py",
+           "id(place), crowd)", "id(place))", _PLAIN),
+    Mutant("index draw keeps an index equal to the bound", "scenarios.py",
+           "while r >= n:", "while r > n:", (_INDEX,)),
     Mutant("generated truth rebuilt per step", "scenarios.py",
            "else truths[id(assessment)]", "else _step_truth(assessment)", _SHARED),
     Mutant("equal rule truths kept apart", "scenarios.py",

@@ -32,9 +32,8 @@ _EXPORTS = {
     ),
     "harness": ("SuiteReport", "run_suite"),
     "metrics": (
-        "LossAccount", "StepTruth", "SubMetrics", "coordination_success",
-        "detection_accuracy", "effectiveness", "latency_compliance", "message_alignment",
-        "objective_loss",
+        "LossAccount", "SubMetrics", "coordination_success", "detection_accuracy",
+        "effectiveness", "latency_compliance", "message_alignment", "objective_loss",
     ),
     "oracle": ("Violation", "oracle_verify"),
     "perception": (
@@ -46,8 +45,8 @@ _EXPORTS = {
         "builtin_rule_table", "scripted_assess",
     ),
     "scenarios": (
-        "MixConfig", "Scenario", "builtin_suite", "generate", "load_scenarios",
-        "save_scenarios", "sixty_run_suite",
+        "MixConfig", "Scenario", "StepTruth", "builtin_suite", "generate",
+        "load_scenarios", "save_scenarios", "sixty_run_suite",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -201,7 +201,7 @@ MEDIUM_RISK_THRESHOLD = 5.0
 HIGH_RISK_THRESHOLD = 8.0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RiskScore:
     """Continuous risk score on the 0..10 scale; out-of-range is rejected."""
 

@@ -19,7 +19,6 @@ from .dispatch import DeliveryRecord, dispatch, memory_registry
 from .engine import Engine, EngineConfig, TraceRecord
 from .metrics import (
     LossAccount,
-    StepTruth,
     SubMetrics,
     _loss_terms,
     coordination_success,
@@ -33,7 +32,7 @@ from .oracle import Violation, oracle_verify
 from .perception import Backend, FaultInjectingBackend
 
 if TYPE_CHECKING:
-    from .scenarios import Scenario
+    from .scenarios import Scenario, StepTruth
 
 REPORT_FORMAT = "hazcom-report-v1"
 

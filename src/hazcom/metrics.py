@@ -13,45 +13,16 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import (
     Criticality,
-    Feasibility,
-    HazardCategory,
-    TimeSensitivity,
     ValidationError,
-    band_risk,
     character_for,
     recipients_for,
     tone_in_band,
-    RiskScore,
 )
 
-if TYPE_CHECKING:  # records are only read here, so scoring never loads the engine
+if TYPE_CHECKING:  # records and truths are only read here, so scoring never loads the engine
     from .dispatch import DeliveryRecord
     from .engine import TraceRecord
-
-
-@dataclass(frozen=True)
-class StepTruth:
-    """Ground truth for one observation that does contain a hazard.
-
-    ``criticality`` is the one grade: it is both the declared severity
-    level and the overall criticality.  An optional reference score, when
-    present, must band to it.
-    """
-
-    category: HazardCategory
-    criticality: Criticality
-    time_sensitivity: TimeSensitivity
-    feasibility: Feasibility
-    risk: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.risk is not None:
-            banded = band_risk(RiskScore(self.risk))
-            if banded is not self.criticality:
-                raise ValidationError(
-                    f"truth incoherent: score {self.risk} bands to "
-                    f"{banded.value}, not {self.criticality.value}"
-                )
+    from .scenarios import StepTruth
 
 
 @dataclass(frozen=True)

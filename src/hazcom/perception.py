@@ -638,7 +638,12 @@ class RemoteBackend:
 
 @dataclass(frozen=True)
 class FaultProfile:
-    """Deterministic fault plan: extra latency plus seeded random failures."""
+    """Deterministic fault plan: extra latency plus seeded random failures.
+
+    The fields take the types a scenario file demands of them: a delay in
+    ticks, a failure rate that is an ``int`` or a ``float`` in [0, 1], and
+    an ``int`` seed; a bool is neither a rate nor a seed.
+    """
 
     added_delay: int = 0
     failure_rate: float = 0.0
@@ -646,8 +651,11 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         check_ticks("added_delay", self.added_delay)
-        if not (0.0 <= self.failure_rate <= 1.0):
-            raise ValidationError(f"failure_rate {self.failure_rate} outside [0, 1]")
+        if type(self.failure_rate) not in (float, int) or not 0.0 <= self.failure_rate <= 1.0:
+            raise ValidationError(
+                f"failure_rate must be a number in [0, 1], got {self.failure_rate!r}")
+        if type(self.seed) is not int:
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
 
 
 class FaultInjectingBackend:

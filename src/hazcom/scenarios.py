@@ -6,8 +6,9 @@ an unattended item (the Medium grade), and a degraded-backend run that
 exercises the fallback path.  ``sixty_run_suite`` scales those families to
 60 runs including the ambiguity cases where fixed-policy baselines err.
 ``generate`` draws seeded random scenarios, and a scenario file holds any
-suite.  Nothing here runs a suite (see :mod:`hazcom.harness`), so making or
-loading inputs never loads the engine, dispatch or the oracle.
+suite.  Nothing here runs or scores a suite (see :mod:`hazcom.harness`), so
+making or loading inputs never loads the engine, dispatch, the oracle or the
+metrics.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from .core import (
     FieldTable,
     HazardCategory,
     LocationType,
+    RiskScore,
     TimeSensitivity,
     ValidationError,
+    band_risk,
     check_fields,
     enum_from_label,
     location_phrase,
 )
-from .metrics import StepTruth
 from .perception import (
     BackendResponseError,
     Entity,
@@ -52,6 +54,33 @@ from .perception import (
 )
 
 SCENARIO_FORMAT = "hazcom-scenarios-v1"
+
+
+@dataclass(frozen=True)
+class StepTruth:
+    """Ground truth for one observation that does contain a hazard.
+
+    ``criticality`` is the one grade: it is both the declared severity
+    level and the overall criticality.  An optional reference score, when
+    present, must band to it.  Truths are inputs: they are defined here,
+    beside the scenarios that hold them, and :mod:`hazcom.metrics` only
+    reads them, so making or loading inputs never loads the metrics.
+    """
+
+    category: HazardCategory
+    criticality: Criticality
+    time_sensitivity: TimeSensitivity
+    feasibility: Feasibility
+    risk: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.risk is not None:
+            banded = band_risk(RiskScore(self.risk))
+            if banded is not self.criticality:
+                raise ValidationError(
+                    f"truth incoherent: score {self.risk} bands to "
+                    f"{banded.value}, not {self.criticality.value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -372,17 +401,17 @@ _BENIGN_POOL: tuple[tuple[tuple[str, str], ...], ...] = (
 _CROWDS = tuple(CrowdDensity)
 
 # The pools as generated observations take them, built once and shared by
-# every scenario: each exemplar as (entities, caption head, allowed
-# locations), each benign view as (entities, caption tail), and each
-# location as (phrase, one context per crowd density in ``_CROWDS`` order).
+# every scenario.  Each view is (entities, caption with ``{}`` for the
+# location phrase, ...): an exemplar adds its allowed locations.  Each
+# location is (phrase, one context per crowd density in ``_CROWDS`` order).
 _EXEMPLARS = {
-    category: tuple(((Entity(label, attribute),), f"{label} {attribute}", allowed)
+    category: tuple(((Entity(label, attribute),), f"{label} {attribute} in the {{}}", allowed)
                     for label, attribute, allowed in pool)
     for category, pool in _CATEGORY_POOL.items()
 }
 _BENIGN_VIEWS = tuple(
     (tuple(Entity(label, attribute) for label, attribute in entities),
-     f", {entities[0][0]} {entities[0][1]}" if entities else ", clear")
+     "patrol view of the {}, " + (" ".join(entities[0]) if entities else "clear"))
     for entities in _BENIGN_POOL
 )
 _PLACES = {
@@ -476,6 +505,17 @@ def _weighted_choice(draw: Callable[[], float], table: tuple):
     return items[bisect_right(cum, draw() * total, 0, hi)]
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """``rng._randbelow(n)`` for ``bits = rng.getrandbits`` and ``n >= 1``:
+    the index ``rng.choice`` takes in ``n`` items and ``rng.randint(1, n) - 1``,
+    from the same draws, without their wrapper frames."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
     """Generate ``n`` random scenarios, deterministic for a given seed.
 
@@ -486,24 +526,28 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
 
     Each weighted choice (category, location) is one ``rng.random()``
     mapped through the table's cumulative weights exactly as
-    ``rng.choices(keys, cum_weights=…)[0]`` maps it, so the RNG stream and
-    the generated scenarios are those of that call.  Every entity and
-    context comes from the pools above and every truth from
-    ``truth_from_rules``, one per rule verdict, so scenarios share those
-    objects: equal values are one object.
+    ``rng.choices(keys, cum_weights=…)[0]`` maps it, and each uniform one
+    (step count, view, crowd) takes ``rng.getrandbits`` as ``rng.choice``
+    and ``rng.randint`` do, so the RNG stream and the generated scenarios
+    are those of these calls.  A step's observation is made of its index,
+    its view, its location and its crowd, so the call builds each distinct
+    observation once, with its truth from ``truth_from_rules``, and every
+    step that draws it shares both; every entity and context comes from the
+    pools above and every truth is one per rule verdict.  Equal values are
+    one object.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be an int >= 1, got {n!r}")
     mix = mix if mix is not None else MixConfig()
     rng = random.Random(seed)
-    draw = rng.random
+    draw, bits = rng.random, rng.getrandbits
     locations = _choice_table(mix.location_weights, _PLACES)
     # Each exemplar with its location draw table in place of its allowed set.
     exemplars = {
         category: tuple(
-            (entities, head, locations if allowed is None
+            (entities, caption, locations if allowed is None
              else _choice_table(mix.location_weights, _PLACES, allowed))
-            for entities, head, allowed in pool
+            for entities, caption, allowed in pool
         )
         for category, pool in _EXEMPLARS.items()
     }
@@ -512,31 +556,37 @@ def generate(seed: int, n: int, mix: MixConfig | None = None) -> list[Scenario]:
         if mix.category_weights.get(category, 0.0) > 0
     ]
     categories = _choice_table(mix.category_weights, exemplars) if forced else None
+    # Each distinct step's (observation, truth), for this call only.  Views
+    # and places are keyed by identity: each is one object, alive as long
+    # as the call.
+    steps: dict[tuple, tuple[Observation, Optional[StepTruth]]] = {}
     scenarios = []
     for i in range(n):
-        steps = rng.randint(1, 3)
-        observations = []
-        ground_truth = []
-        for t in range(steps):
+        pairs = []
+        for t in range(1 + _below(bits, 3)):
             exemplar_pool = None
             if mix.hazard_fraction > 0 and t == 0 and i < len(forced):
                 exemplar_pool = forced[i]
             if exemplar_pool is None and (
                 mix.hazard_fraction == 0.0 or draw() >= mix.hazard_fraction
             ):
-                entities, tail = rng.choice(_BENIGN_VIEWS)
-                phrase, contexts = _weighted_choice(draw, locations)
-                obs = Observation(t, f"patrol view of the {phrase}{tail}", entities,
-                                  contexts[_QUIET])
+                view = _BENIGN_VIEWS[_below(bits, len(_BENIGN_VIEWS))]
+                place = _weighted_choice(draw, locations)
+                crowd = _QUIET
             else:
-                entities, head, places = rng.choice(
-                    exemplar_pool or _weighted_choice(draw, categories))
-                phrase, contexts = _weighted_choice(draw, places)
-                obs = Observation(t, f"{head} in the {phrase}", entities, rng.choice(contexts))
-            observations.append(obs)
-            ground_truth.append(truth_from_rules(obs))
-        scenarios.append(Scenario(f"gen-{seed}-{i:03d}", tuple(observations),
-                                  tuple(ground_truth)))
+                pool = exemplar_pool or _weighted_choice(draw, categories)
+                view = pool[_below(bits, len(pool))]
+                place = _weighted_choice(draw, view[2])
+                crowd = _below(bits, len(_CROWDS))
+            key = (t, id(view), id(place), crowd)
+            pair = steps.get(key)
+            if pair is None:
+                phrase, contexts = place
+                obs = Observation(t, view[1].format(phrase), view[0], contexts[crowd])
+                pair = steps[key] = obs, truth_from_rules(obs)
+            pairs.append(pair)
+        observations, ground_truth = zip(*pairs)
+        scenarios.append(Scenario(f"gen-{seed}-{i:03d}", observations, ground_truth))
     return scenarios
 
 

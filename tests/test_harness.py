@@ -12,12 +12,16 @@ import hazcom.engine
 from hazcom import (
     ConfigurationError,
     Criticality,
+    CrowdDensity,
     Engine,
+    Entity,
+    EnvContext,
     FaultProfile,
     HazardCategory,
     LocationBaselineBackend,
     LocationType,
     ObjectBaselineBackend,
+    Observation,
     ScriptedBackend,
     ValidationError,
     builtin_rule_table,
@@ -27,13 +31,16 @@ from hazcom import (
 )
 from hazcom.clock import seconds_to_ticks
 from hazcom.cli import EXIT_VIOLATION, main
-from hazcom.core import MessageTuple, RiskScore, band_risk
+from hazcom.core import MessageTuple, RiskScore, band_risk, location_phrase
 from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario
 from hazcom.oracle import Violation
 from hazcom.scenarios import (
+    _BENIGN_POOL,
+    _CATEGORY_POOL,
     MixConfig,
     Scenario,
+    _below,
     _choice_table,
     _weighted_choice,
     builtin_suite,
@@ -388,10 +395,12 @@ class TestGenerate:
     ], ids=["default", "all-hazards", "kitchen-and-office"])
     def test_suite_holds_one_object_per_value(self, mix):
         suite = generate(8, 300, mix)
-        objects: dict[str, dict] = {"entity": {}, "context": {}, "truth": {}}
+        objects: dict[str, dict] = {
+            "observation": {}, "entity": {}, "context": {}, "truth": {},
+        }
         for scenario in suite:
             for obs, truth in zip(scenario.observations, scenario.ground_truth):
-                values = [("context", obs.env)]
+                values = [("observation", obs), ("context", obs.env)]
                 values += [("entity", entity) for entity in obs.salient_entities]
                 if truth is not None:
                     values.append(("truth", truth))
@@ -401,6 +410,19 @@ class TestGenerate:
             assert ids_by_value, kind
             shared = {value: ids for value, ids in ids_by_value.items() if len(ids) > 1}
             assert not shared, f"{kind}: {sorted(map(repr, shared))}"
+
+    @pytest.mark.parametrize("seed, mix", [
+        (8, None),
+        (9, MixConfig(hazard_fraction=1.0)),
+        (10, MixConfig(hazard_fraction=0.3, location_weights={
+            LocationType.KITCHEN: 1.0, LocationType.OFFICE: 2.0})),
+        (11, MixConfig(category_weights={
+            HazardCategory.WASTE: 0.5, HazardCategory.DISTRESS: 2, HazardCategory.PERSON_DOWN: 0,
+        })),
+    ], ids=["default", "all-hazards", "kitchen-and-office", "two-categories"])
+    def test_equals_the_plain_generator(self, seed, mix):
+        # Shared steps, direct index draws and draw tables change no value.
+        assert generate(seed, 300, mix) == plain_generate(seed, 300, mix or MixConfig())
 
     def test_truths_band_coherent(self):
         for scenario in generate(9, 30):
@@ -473,6 +495,49 @@ class TestGenerate:
         assert seen == {HazardCategory.WASTE}
 
 
+def plain_generate(seed, n, mix):
+    """``generate`` from ``Random``'s own ``randint``, ``choice`` and
+    ``choices``, with a new object for every value."""
+    rng = random.Random(seed)
+
+    def weighted(weights, allowed=None):
+        pairs = [(key, weight) for key, weight in weights.items()
+                 if weight > 0 and (allowed is None or key in allowed)]
+        keys, values = zip(*(pairs or [(key, 1.0) for key in allowed]))
+        return rng.choices(keys, cum_weights=list(accumulate(values)))[0]
+
+    forced = [c for c in HazardCategory if mix.category_weights.get(c, 0.0) > 0]
+    suite = []
+    for i in range(n):
+        observations = []
+        for t in range(rng.randint(1, 3)):
+            category = None
+            if mix.hazard_fraction > 0 and t == 0 and i < len(forced):
+                category = forced[i]
+            if category is None and (
+                mix.hazard_fraction == 0.0 or rng.random() >= mix.hazard_fraction
+            ):
+                entities = rng.choice(_BENIGN_POOL)
+                location = weighted(mix.location_weights)
+                tail = " ".join(entities[0]) if entities else "clear"
+                observations.append(Observation(
+                    t, f"patrol view of the {location_phrase(location)}, {tail}",
+                    tuple(Entity(label, attribute) for label, attribute in entities),
+                    EnvContext(location, CrowdDensity.NONE)))
+            else:
+                if category is None:
+                    category = weighted(mix.category_weights)
+                label, attribute, allowed = rng.choice(_CATEGORY_POOL[category])
+                location = weighted(mix.location_weights, allowed)
+                observations.append(Observation(
+                    t, f"{label} {attribute} in the {location_phrase(location)}",
+                    (Entity(label, attribute),),
+                    EnvContext(location, rng.choice(list(CrowdDensity)))))
+        suite.append(Scenario(f"gen-{seed}-{i:03d}", observations,
+                              [truth_from_rules(obs) for obs in observations]))
+    return suite
+
+
 _WEIGHTS = st.one_of(
     st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
     st.integers(min_value=1, max_value=10**12),
@@ -490,6 +555,16 @@ class TestWeightedDraw:
         for _ in range(3):
             expected = reference.choices(keys, cum_weights=list(accumulate(weights)))[0]
             assert _weighted_choice(rng.random, table) == expected
+        assert rng.random() == reference.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(length=st.integers(1, 8), seed=st.integers(0, 2**64))
+    def test_index_draw_is_choice_and_randint(self, length, seed):
+        items = [f"item-{index}" for index in range(length)]
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert items[_below(rng.getrandbits, length)] == reference.choice(items)
+            assert 1 + _below(rng.getrandbits, 3) == reference.randint(1, 3)
         assert rng.random() == reference.random()
 
 

@@ -38,10 +38,10 @@ def test_perception_loads_no_suite_execution():
     assert [m for m in loaded if m.split(".")[1] in EXECUTION] == []
 
 
-def test_generation_loads_no_engine_dispatch_oracle_or_http_client():
+def test_generation_loads_no_suite_execution_or_http_client():
     loaded = loaded_after("import hazcom\nhazcom.generate(0, 3)")
     assert "hazcom.scenarios" in loaded
-    assert [m for m in loaded if m.split(".")[1] in ("engine", "oracle", "dispatch", "_http")] == []
+    assert [m for m in loaded if m.split(".")[1] in (*EXECUTION, "_http")] == []
 
 
 def test_gen_subcommand_loads_no_suite_execution():

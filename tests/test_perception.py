@@ -405,6 +405,24 @@ class TestFaultInjection:
         with pytest.raises(ValidationError, match="added_delay must be a non-negative integer"):
             FaultProfile(added_delay=delay)
 
+    @pytest.mark.parametrize("rate", [
+        "0.5", None, True, False, math.nan, 1.5, -0.1, pytest.param(10**400, id="10**400"),
+    ])
+    def test_failure_rate_must_be_a_number_in_range(self, rate):
+        with pytest.raises(ValidationError, match="failure_rate must be a number in"):
+            FaultProfile(failure_rate=rate)
+
+    @pytest.mark.parametrize("seed", [[1], True, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # random.Random would take a bool and refuse a list only when the
+        # wrapper is built; the profile refuses both as it is made.
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            FaultProfile(failure_rate=0.1, seed=seed)
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.0, 0.25, 1.0])
+    def test_int_and_float_rates_accepted(self, rate):
+        assert FaultProfile(failure_rate=rate, seed=-3).failure_rate == rate
+
 
 # --------------------------------------------------------------------------
 # Memoized matching and shared verdicts
