@@ -1,9 +1,11 @@
 """Domain model and the deterministic communication policy.
 
 Everything in this module is a deterministic function over immutable values:
-risk banding, tone coupling, character/alarm/recipient selection, and
-template-based message composition.  No I/O, no clock, no randomness, so
-every operation is safe to call from any number of concurrent contexts.
+risk banding, tone coupling, template-based message composition, and one
+policy table (:data:`POLICY`) whose row per grade fixes the message's
+character, the alarm and the recipients in delivery order.  No I/O, no
+clock, no randomness, so every operation is safe to call from any number of
+concurrent contexts.
 Assembled outputs are memoized and shared between callers; they are immutable.
 """
 
@@ -16,7 +18,7 @@ from functools import cache, lru_cache, total_ordering
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Type, TypeVar
+from typing import Mapping, NamedTuple, Type, TypeVar
 
 
 class ValidationError(ValueError):
@@ -220,34 +222,22 @@ class RiskScore:
         return self.value
 
 
-def band_risk(risk: RiskScore) -> Criticality:
-    """Grade a risk score into a criticality band.
+def _grade(value: float) -> Criticality:
+    """The band of a value on the 0..10 scale (risk or tone).
 
     Bands are half-open: [0, 5) -> Low, [5, 8) -> Medium, [8, 10] -> High,
     so the alarm threshold sits exactly at 5.0.
     """
-    if risk.value < MEDIUM_RISK_THRESHOLD:
+    if value < MEDIUM_RISK_THRESHOLD:
         return Criticality.LOW
-    if risk.value < HIGH_RISK_THRESHOLD:
+    if value < HIGH_RISK_THRESHOLD:
         return Criticality.MEDIUM
     return Criticality.HIGH
 
 
-#: A band-representative score per grade, for outputs that have a grade but
-#: no measured score (fixed-grade baselines, fallback alerts).
-REPRESENTATIVE_RISK: Mapping[Criticality, float] = {
-    Criticality.LOW: 2.0,
-    Criticality.MEDIUM: 6.0,
-    Criticality.HIGH: 9.0,
-}
-
-#: Tone interval per criticality, mirroring the risk bands.  The upper bound
-#: is exclusive except for High, which includes the top of the scale.
-TONE_BANDS: Mapping[Criticality, tuple[float, float]] = {
-    Criticality.LOW: (RISK_MIN, MEDIUM_RISK_THRESHOLD),
-    Criticality.MEDIUM: (MEDIUM_RISK_THRESHOLD, HIGH_RISK_THRESHOLD),
-    Criticality.HIGH: (HIGH_RISK_THRESHOLD, RISK_MAX),
-}
+def band_risk(risk: RiskScore) -> Criticality:
+    """Grade a risk score into a criticality band."""
+    return _grade(risk.value)
 
 
 def tone_for(risk: RiskScore) -> float:
@@ -256,42 +246,45 @@ def tone_for(risk: RiskScore) -> float:
 
 
 def tone_in_band(tone: float, criticality: Criticality) -> bool:
-    lo, hi = TONE_BANDS[criticality]
-    if criticality is Criticality.HIGH:
-        return lo <= tone <= hi
-    return lo <= tone < hi
+    """Whether ``tone`` sits in the band of ``criticality``: the tone scale
+    is the risk scale, so a tone grades as a score does."""
+    return RISK_MIN <= tone <= RISK_MAX and _grade(tone) is criticality
 
 
-_CHARACTER_FOR = {
-    Criticality.LOW: Character.INQUIRY,
-    Criticality.MEDIUM: Character.ALERT,
-    Criticality.HIGH: Character.URGENT,
+class PolicyRow(NamedTuple):
+    """What one grade fixes.  ``representative_risk`` is a score in the band,
+    for outputs that have a grade but no measured score (fixed-grade
+    baselines, fallback alerts); ``recipients`` are in delivery order."""
+
+    representative_risk: float
+    character: Character
+    alarm: bool
+    recipients: tuple[Channel, ...]
+
+
+#: The communication policy, one row per grade.  The alarm sounds from Medium
+#: up, and the recipients nest as severity grows.
+POLICY: Mapping[Criticality, PolicyRow] = {
+    Criticality.LOW: PolicyRow(2.0, Character.INQUIRY, False, CHANNEL_ORDER[:1]),
+    Criticality.MEDIUM: PolicyRow(6.0, Character.ALERT, True, CHANNEL_ORDER[:2]),
+    Criticality.HIGH: PolicyRow(9.0, Character.URGENT, True, CHANNEL_ORDER),
 }
 
 
 def character_for(criticality: Criticality) -> Character:
     """Message register for a criticality: inquiry, alert, or urgent."""
-    return _CHARACTER_FOR[criticality]
+    return POLICY[criticality].character
 
 
 def alarm_for(criticality: Criticality) -> bool:
     """The audible alarm activates only for non-Low criticality."""
-    return criticality is not Criticality.LOW
+    return POLICY[criticality].alarm
 
 
-#: Recipients per criticality in delivery order; they nest as severity grows.
-RECIPIENTS_IN_ORDER: Mapping[Criticality, tuple[Channel, ...]] = {
-    Criticality.LOW: CHANNEL_ORDER[:1],
-    Criticality.MEDIUM: CHANNEL_ORDER[:2],
-    Criticality.HIGH: CHANNEL_ORDER,
-}
-
-_RECIPIENTS_FOR = {grade: frozenset(chs) for grade, chs in RECIPIENTS_IN_ORDER.items()}
-
-
+@cache
 def recipients_for(criticality: Criticality) -> frozenset[Channel]:
     """Recipient set for a criticality; sets are nested as severity grows."""
-    return _RECIPIENTS_FOR[criticality]
+    return frozenset(POLICY[criticality].recipients)
 
 
 @dataclass(frozen=True)
@@ -313,39 +306,41 @@ class MessageTuple:
 class CommOutput:
     """Complete communication decision for one hazard.
 
-    Construction enforces the policy invariants: the alarm flag follows
-    criticality, the recipient set is exactly the one the criticality
-    mandates, and the message tone/character sit in that criticality's band.
+    Construction enforces the policy row of the criticality: the alarm flag,
+    the recipients and the message's character are the row's, and the tone
+    sits in the criticality's band.  ``recipients`` may be given as any
+    collection of the row's channels; the output keeps the row's tuple, so
+    it carries its own delivery order.
     """
 
     message: MessageTuple
-    recipients: frozenset[Channel]
+    recipients: tuple[Channel, ...]
     alarm: bool
     criticality: Criticality
     risk: RiskScore
     category: HazardCategory | None = None
 
     def __post_init__(self) -> None:
-        if self.alarm != alarm_for(self.criticality):
+        row = POLICY[self.criticality]
+        if self.alarm != row.alarm:
             raise ValidationError(
                 f"alarm={self.alarm} inconsistent with criticality "
                 f"{self.criticality.value}"
             )
-        expected = recipients_for(self.criticality)
-        if frozenset(self.recipients) != expected:
+        if frozenset(self.recipients) != recipients_for(self.criticality):
             got = sorted(c.value for c in self.recipients)
-            want = sorted(c.value for c in expected)
+            want = sorted(c.value for c in row.recipients)
             raise ValidationError(
                 f"recipients {got} do not match {want} for criticality "
                 f"{self.criticality.value}"
             )
-        object.__setattr__(self, "recipients", frozenset(self.recipients))
+        object.__setattr__(self, "recipients", row.recipients)
         if not tone_in_band(self.message.tone, self.criticality):
             raise ValidationError(
                 f"tone {self.message.tone} outside the "
                 f"{self.criticality.value} band"
             )
-        if self.message.character is not character_for(self.criticality):
+        if self.message.character is not row.character:
             raise ValidationError(
                 f"character {self.message.character.value} does not match "
                 f"criticality {self.criticality.value}"
@@ -461,14 +456,15 @@ def policy_output(
 ) -> CommOutput:
     """The communication decision carrying ``text`` at score ``risk``.
 
-    The score's grade fixes the tone, character, alarm and recipients.
+    The score's grade picks the policy row, which fixes the character, alarm
+    and recipients; the tone is the score.
     """
     criticality = band_risk(risk)
-    message = MessageTuple(text=text, tone=tone_for(risk), character=character_for(criticality))
+    row = POLICY[criticality]
     return CommOutput(
-        message=message,
-        recipients=recipients_for(criticality),
-        alarm=alarm_for(criticality),
+        message=MessageTuple(text=text, tone=tone_for(risk), character=row.character),
+        recipients=row.recipients,
+        alarm=row.alarm,
         criticality=criticality,
         risk=risk,
         category=category,

@@ -1,6 +1,7 @@
 """Multi-party delivery: fan one communication out to its channel sinks.
 
-Delivery order is nearby -> remote -> coordination.  A failing sink yields
+An output carries its recipients in delivery order (nearby -> remote ->
+coordination), and dispatch delivers exactly those.  A failing sink yields
 a failure record but never blocks the other channels and never mutates the
 output being delivered.  The package's one sink is :class:`MemorySink`; any
 object with a ``channel`` and a ``deliver`` method serves as a custom one.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Protocol
 
-from .core import CHANNEL_ORDER, RECIPIENTS_IN_ORDER, Channel, CommOutput, ConfigurationError
+from .core import CHANNEL_ORDER, Channel, CommOutput, ConfigurationError
 
 
 class DeliveryRecord(NamedTuple):
@@ -63,20 +64,20 @@ def memory_registry() -> dict[Channel, MemorySink]:
 
 
 def dispatch(output: CommOutput, sinks: SinkRegistry, tick: int) -> list[DeliveryRecord]:
-    """Deliver to exactly the output's recipient channels, in channel order.
+    """Deliver to exactly the output's recipients, in the order it carries.
 
     ``sinks`` maps each channel to its sink.  A sink must exist for every
-    required channel before any delivery is attempted; channels outside the
-    recipient set are never invoked.
+    recipient before any delivery is attempted; channels outside the
+    output's recipients are never invoked.
     """
-    if not sinks.keys() >= output.recipients:
-        missing = [
-            ch.value for ch in RECIPIENTS_IN_ORDER[output.criticality] if ch not in sinks
-        ]
-        raise ConfigurationError(f"no sink registered for channels: {missing}")
+    recipients = output.recipients
+    for channel in recipients:
+        if channel not in sinks:
+            missing = [ch.value for ch in recipients if ch not in sinks]
+            raise ConfigurationError(f"no sink registered for channels: {missing}")
 
     records: list[DeliveryRecord] = []
-    for channel in RECIPIENTS_IN_ORDER[output.criticality]:
+    for channel in recipients:
         sink = sinks[channel]
         try:
             record = sink.deliver(output, tick)

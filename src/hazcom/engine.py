@@ -30,8 +30,7 @@ from .core import (
     Feasibility,
     HazardCategory,
     Label,
-    RECIPIENTS_IN_ORDER,
-    REPRESENTATIVE_RISK,
+    POLICY,
     RiskScore,
     TemplateTable,
     TimeSensitivity,
@@ -482,7 +481,7 @@ def fallback_output(last_known: Criticality | None) -> CommOutput:
     """
     criticality = last_known if last_known is not None else Criticality.MEDIUM
     return policy_output(
-        _FALLBACK_TEXT[criticality], RiskScore(REPRESENTATIVE_RISK[criticality]), None
+        _FALLBACK_TEXT[criticality], RiskScore(POLICY[criticality].representative_risk), None
     )
 
 
@@ -584,5 +583,5 @@ class Engine:
         return StepResult(output, timers, fallback_used, TraceRecord(
             start, obs_id, output.category, level, time_sensitivity, feasibility,
             output.risk.value, criticality, message.tone, message.character, alarm,
-            RECIPIENTS_IN_ORDER[criticality], t_total, fallback_used, message.text,
+            output.recipients, t_total, fallback_used, message.text,
         ))

@@ -38,7 +38,7 @@ from .core import (
     Feasibility,
     HazardCategory,
     LocationType,
-    REPRESENTATIVE_RISK,
+    POLICY,
     RiskScore,
     TimeSensitivity,
     ValidationError,
@@ -420,7 +420,7 @@ _LOCATION_POLICY = {
 # Every verdict the location policy gives, by (category, location).
 _LOCATION_VERDICTS = {
     (category, location): _fixed_verdict(
-        category, level, REPRESENTATIVE_RISK[level],
+        category, level, POLICY[level].representative_risk,
         f"location policy: anything in the {location._value_} is {level._value_}",
     )
     for category in HazardCategory

@@ -32,7 +32,7 @@ from hazcom import (
 from hazcom import core
 from hazcom.core import (
     CHANNEL_ORDER,
-    RECIPIENTS_IN_ORDER,
+    POLICY,
     _assembled,
     builtin_templates,
     enum_from_label,
@@ -135,7 +135,7 @@ class TestCharacterAlarmRecipients:
 
     def test_recipients_in_order_are_the_sets_in_channel_order(self):
         for grade in Criticality:
-            ordered = RECIPIENTS_IN_ORDER[grade]
+            ordered = POLICY[grade].recipients
             assert set(ordered) == recipients_for(grade)
             assert list(ordered) == [c for c in CHANNEL_ORDER if c in ordered]
 
@@ -283,9 +283,9 @@ class TestAssembleOutput:
         assert out.criticality is Criticality.HIGH
         assert out.message.character is Character.URGENT
         assert out.alarm is True
-        assert out.recipients == {
+        assert out.recipients == (
             Channel.NEARBY, Channel.REMOTE, Channel.COORDINATION,
-        }
+        )
 
     def test_s2_shape(self):
         out = assemble_output(
@@ -294,7 +294,7 @@ class TestAssembleOutput:
         assert out.criticality is Criticality.LOW
         assert out.message.character is Character.INQUIRY
         assert out.alarm is False
-        assert out.recipients == {Channel.NEARBY}
+        assert out.recipients == (Channel.NEARBY,)
 
     def test_person_down_high(self):
         out = assemble_output(
@@ -302,13 +302,13 @@ class TestAssembleOutput:
         )
         assert out.criticality is Criticality.HIGH
         assert out.alarm is True
-        assert out.recipients == recipients_for(Criticality.HIGH)
+        assert out.recipients == POLICY[Criticality.HIGH].recipients
 
     @given(risk_values)
     def test_invariants_hold_for_any_score(self, rho):
         out = assemble_output(HazardCategory.WASTE, RiskScore(rho), corridor())
         assert out.alarm == (out.criticality is not Criticality.LOW)
-        assert out.recipients == recipients_for(out.criticality)
+        assert out.recipients == POLICY[out.criticality].recipients
         assert out.message.tone == rho
 
     def test_purity_byte_identical(self):

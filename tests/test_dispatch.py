@@ -14,6 +14,7 @@ from hazcom import (
     memory_registry,
     recipients_for,
 )
+from hazcom.core import policy_output
 from hazcom.dispatch import DeliveryRecord
 
 
@@ -83,6 +84,24 @@ class TestDispatch:
         assert sinks[Channel.COORDINATION].log == []
         # the output itself is untouched by the failure
         assert output.message.text
+
+
+class TestRoutesFromTheOutput:
+    def test_delivers_exactly_the_recipients_the_output_carries(self):
+        output = policy_output("text", RiskScore(9.0), HazardCategory.SHARP_OBJECT)
+        object.__setattr__(output, "recipients", (Channel.NEARBY,))
+        sinks = {channel: RecordingSink(channel) for channel in Channel}
+        records = dispatch(output, sinks, tick=0)
+        assert [r.channel for r in records] == [Channel.NEARBY]
+        assert sinks[Channel.NEARBY].log == records
+        assert sinks[Channel.REMOTE].log == sinks[Channel.COORDINATION].log == []
+
+    def test_missing_sinks_are_named_before_any_delivery(self):
+        sinks = {Channel.NEARBY: RecordingSink(Channel.NEARBY)}
+        with pytest.raises(ConfigurationError,
+                           match=r"channels: \['remote', 'coordination'\]$"):
+            dispatch(output_for(9.0), sinks, tick=0)
+        assert sinks[Channel.NEARBY].log == []
 
 
 class TestMemorySink:

@@ -23,11 +23,10 @@ from hazcom import (
     fallback_output,
     oracle_verify,
     read_trace,
-    recipients_for,
     write_trace,
 )
 from hazcom.clock import VirtualClock, WallClock, seconds_to_ticks, ticks_to_seconds
-from hazcom.core import EnvContext
+from hazcom.core import POLICY, EnvContext
 from hazcom.engine import _stage_timers
 from hazcom.perception import (
     BackendError,
@@ -156,7 +155,7 @@ class TestStep:
         result = engine.step(s2_obs, scripted)
         assert result.output is not None
         assert result.output.alarm is False
-        assert result.output.recipients == {Channel.NEARBY}
+        assert result.output.recipients == (Channel.NEARBY,)
         assert engine.alarm_latched is False
         assert result.fallback_used is False
         assert result.timers.total == 120
@@ -214,7 +213,7 @@ class TestStep:
         )
         result = engine.step(s1_obs, slow)
         assert result.output.criticality is Criticality.HIGH
-        assert result.output.recipients == recipients_for(Criticality.HIGH)
+        assert result.output.recipients == POLICY[Criticality.HIGH].recipients
 
     def test_backend_error_absorbed_into_fallback(self, s1_obs):
         engine = Engine()
@@ -244,7 +243,7 @@ class TestStep:
         for grade in (None, *Criticality):
             output = fallback_output(grade)
             assert output.alarm == (output.criticality is not Criticality.LOW)
-            assert output.recipients == recipients_for(output.criticality)
+            assert output.recipients == POLICY[output.criticality].recipients
 
     def test_slow_no_hazard_step_keeps_alarm_clear(self, empty_obs, scripted):
         engine = Engine()
@@ -276,6 +275,16 @@ class TestStep:
         assert record.recipients == (
             Channel.NEARBY, Channel.REMOTE, Channel.COORDINATION,
         )
+
+    def test_assembled_record_keeps_the_outputs_recipients(self, s2_obs, scripted):
+        result = Engine().step(s2_obs, scripted)
+        assert result.fallback_used is False
+        assert result.record.recipients is result.output.recipients
+
+    def test_fallback_record_keeps_the_outputs_recipients(self, s1_obs):
+        result = Engine().step(s1_obs, FailingBackend())
+        assert result.fallback_used is True
+        assert result.record.recipients is result.output.recipients
 
 
 class TestStepBranchesWithCommTime:
