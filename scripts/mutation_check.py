@@ -8,7 +8,7 @@ old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
 test in one, as pytest names them.  On a shared 2-vCPU machine (Python
-3.11) the 74 mutants took 3 min 14 s, where running the whole test suite
+3.11) the 78 mutants took 5 min 20 s, where running the whole test suite
 per mutant took about three minutes for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 _PERCEPTION = ("tests/test_perception.py",)
 _TRANSPORT = "tests/test_remote.py::TestHttpTransport::"
+_WIRE = "tests/test_remote.py::TestWireFormat::"
 _WRITER = "tests/test_trace_codec.py::TestWriterExactness::"
 _READER = "tests/test_trace_codec.py::TestReaderAgreesWithCheckedPath::"
 _RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
@@ -115,6 +116,13 @@ MUTANTS = (
     Mutant("transport lets a tick count too large for a float escape", "perception.py",
            "except OverflowError:  # a tick count too large to convert to seconds",
            "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("no_hazard: false is accepted", "perception.py",
+           'if doc["no_hazard"] is not True:', "if False:",
+           (_WIRE + "test_no_hazard_false_rejected",)),
+    Mutant("request value error escapes untyped", "perception.py",
+           "except ValidationError as exc:\n        raise BackendResponseError(f\"invalid request",
+           "except BackendResponseError as exc:\n        raise BackendResponseError(f\"invalid request",
+           (_WIRE + "test_invalid_request_value_rejected",)),
     Mutant("HTTP client loads the stdlib HTTP library", "_http.py",
            "import json\nimport re\n", "import http.client\nimport json\nimport re\n",
            ("tests/test_remote.py::test_import_loads_no_http_client_library",)),
@@ -145,6 +153,9 @@ MUTANTS = (
     Mutant("stage-timer cache untyped", "engine.py",
            "lru_cache(maxsize=1024, typed=True)(StageTimers)",
            "lru_cache(maxsize=1024)(StageTimers)", ("tests/test_engine.py",)),
+    Mutant("budget of a non-tick value accepted", "engine.py",
+           'check_ticks("t_max", self.t_max)\n        if', "if",
+           ("tests/test_engine.py::TestEngineConfigTickCounts",)),
     Mutant("repeat exactly one window later is not fatigue", "metrics.py",
            "record.tick - previous <= suppression_window",
            "record.tick - previous < suppression_window", ("tests/test_metrics.py",)),
@@ -220,6 +231,11 @@ MUTANTS = (
            "self.last_known_criticality = band_risk(assessment.risk)", "pass",
            ("tests/test_engine.py::TestStepBranchesWithCommTime::"
             "test_late_verdict_alerts_from_the_previous_grade",)),
+    Mutant("suite loss keeps only the last scenario's terms", "harness.py",
+           "l_hazard += hazard\n            l_fatigue += fatigue",
+           "l_hazard = hazard\n            l_fatigue = fatigue",
+           ("tests/test_harness.py::TestRunSuite::"
+            "test_suite_loss_is_the_sum_of_its_scenarios_losses",)),
     Mutant("Medium severity weight 1", "metrics.py",
            "Criticality.MEDIUM: 2.0,", "Criticality.MEDIUM: 1.0,",
            ("tests/test_metrics.py::TestObjectiveLoss::test_severity_weights",)),

@@ -152,7 +152,7 @@ def _parse_weight_map(spec: str, enum_cls, what: str) -> dict:
         if not _:
             raise ConfigurationError(f"bad {what} entry {part!r}; expected NAME=WEIGHT")
         try:
-            member = enum_from_label(enum_cls, name.strip(), what)
+            member = enum_from_label(enum_cls, name.strip())
             weights[member] = float(value)
         except (ValidationError, ValueError) as exc:
             raise ConfigurationError(f"bad {what} entry {part!r}: {exc}") from exc

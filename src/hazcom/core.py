@@ -70,17 +70,18 @@ def members_by_label(enum_cls: Type[E]) -> Mapping[str, E]:
     return {member.value: member for member in enum_cls}
 
 
-def enum_from_label(enum_cls: Type[E], label: str, context: str = "") -> E:
-    """Look up an enum member by its canonical label, e.g. ``"Medium"``."""
+def enum_from_label(enum_cls: Type[E], label: str) -> E:
+    """Look up an enum member by its canonical label, e.g. ``"Medium"``.
+
+    An unknown or unhashable label raises :class:`ValidationError` saying
+    what is wrong, not where: the caller, which knows the document, names
+    the place once."""
     try:
         return members_by_label(enum_cls)[label]
     except (KeyError, TypeError):  # unknown or unhashable label
         pass
     valid = ", ".join(m.value for m in enum_cls)
-    where = f" in {context}" if context else ""
-    raise ValidationError(
-        f"unknown {enum_cls.__name__} {label!r}{where}; expected one of: {valid}"
-    )
+    raise ValidationError(f"unknown {enum_cls.__name__} {label!r}; expected one of: {valid}")
 
 
 class Label(Enum):

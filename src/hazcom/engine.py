@@ -84,9 +84,9 @@ _stage_timers = lru_cache(maxsize=1024, typed=True)(StageTimers)
 class EngineConfig:
     """Engine and scoring knobs.
 
-    ``t_max`` is the total latency budget in ticks (default 20 s); the
-    effectiveness weights and fatigue trade-off live here so a whole run is
-    described by one value.
+    ``t_max`` is the total latency budget, a positive tick count (default
+    20 s); the effectiveness weights and fatigue trade-off live here so a
+    whole run is described by one value.
     """
 
     t_max: int = 200
@@ -96,16 +96,14 @@ class EngineConfig:
     suppression_window: int = 50
 
     def __post_init__(self) -> None:
+        check_ticks("t_max", self.t_max)
+        if not self.t_max:
+            raise ValidationError("t_max must be positive, got 0")
+        check_ticks("suppression_window", self.suppression_window)
         # NaN fails every comparison, and ``< math.inf`` rejects infinity.
-        if not 0 < self.t_max < math.inf:
-            raise ValidationError(f"t_max must be positive and finite, got {self.t_max}")
         if not 0 < self.fatigue_lambda < math.inf:
             raise ValidationError(
                 f"fatigue_lambda must be positive and finite, got {self.fatigue_lambda}"
-            )
-        if not 0 <= self.suppression_window < math.inf:
-            raise ValidationError(
-                f"suppression_window must be >= 0 and finite, got {self.suppression_window}"
             )
         if len(self.weights) != 4 or not all(0 <= w < math.inf for w in self.weights):
             raise ValidationError("weights must be four non-negative finite reals")
@@ -169,20 +167,15 @@ class TraceRecord(NamedTuple):
             for key, enum, types, what, _ in TRACE_FIELDS:
                 value = doc.get(key)
                 if not types:
-                    value = None if value is None else enum_from_label(enum, value, where)
+                    value = None if value is None else enum_from_label(enum, value)
                 elif type(value) not in types:
-                    # int() and float() name a value that is no number at
-                    # all; a look-alike they accept, such as 1.7, "120" or
-                    # true, gets the type message.
-                    if int in types:
-                        (float if float in types else int)(value)
                     raise ValidationError(f"{key!r} must be {what}, got {value!r}")
                 elif enum is not None:
-                    value = tuple(enum_from_label(enum, item, where) for item in value)
+                    value = tuple(enum_from_label(enum, item) for item in value)
                 elif float in types and type(value) is int:
-                    value = float(value)
+                    value = float(value)  # OverflowError past the largest float
                 values.append(value)
-        except (OverflowError, TypeError, ValueError) as exc:
+        except (OverflowError, ValidationError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         return cls._make(values)
 

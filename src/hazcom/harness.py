@@ -44,20 +44,21 @@ _SINKS = memory_registry()
 class ScenarioRun:
     """Trace, its wire form and deliveries of one backend on one scenario."""
 
-    scenario_id: str
     trace: list[TraceRecord]
     #: ``record.to_wire()`` of each trace record, built once: the oracle
     #: checks these dicts and the structured report holds them.
     wire: list[dict]
     deliveries: list[list[DeliveryRecord]]
-    fallback_steps: int
+
+    @property
+    def fallback_steps(self) -> int:
+        return sum(record.fallback for record in self.trace)
 
 
 @dataclass
 class BackendResult:
     """Aggregated scoring of one backend over the whole suite."""
 
-    backend: str
     sub_metrics: SubMetrics
     effectiveness: float
     loss: LossAccount
@@ -206,22 +207,14 @@ def run_scenario(scenario: Scenario, backend: Backend, engine: Engine) -> Scenar
     trace: list[TraceRecord] = []
     wire: list[dict] = []
     deliveries: list[list[DeliveryRecord]] = []
-    fallback_steps = 0
     step, pop, prefix = engine.step, engine.queue.pop, scenario.scenario_id
     for index, obs in enumerate(scenario.observations):
-        output, _, fallback_used, record = step(obs, backend, f"{prefix}:{index}")
+        output, _, _, record = step(obs, backend, f"{prefix}:{index}")
         trace.append(record)
         wire.append(record.to_wire())
-        fallback_steps += fallback_used
         # A step enqueues at most its one output, and each step drains the queue.
         deliveries.append([] if output is None else dispatch(pop(), _SINKS, clock.now))
-    return ScenarioRun(
-        scenario_id=scenario.scenario_id,
-        trace=trace,
-        wire=wire,
-        deliveries=deliveries,
-        fallback_steps=fallback_steps,
-    )
+    return ScenarioRun(trace, wire, deliveries)
 
 
 def run_suite(
@@ -293,7 +286,6 @@ def run_suite(
             eps_lat=latency_compliance(mean_latency, config.t_max),
         )
         results[name] = BackendResult(
-            backend=name,
             sub_metrics=sub,
             effectiveness=effectiveness(sub, config.weights),
             loss=LossAccount(l_hazard, l_fatigue, config.fatigue_lambda),

@@ -560,8 +560,6 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
             risk=RiskScore(float(doc["rho"])),
             rationale=doc["rationale"],
         )
-    except BackendResponseError:
-        raise
     except (OverflowError, ValidationError) as exc:
         raise BackendResponseError(f"invalid response values: {exc}") from exc
 

@@ -623,11 +623,11 @@ def _truth_from_dict(doc: Optional[dict], where: str) -> Optional[StepTruth]:
         rho = doc.get("rho")
         if rho is not None and not 0.0 <= rho <= 10.0:
             raise ValidationError(f"'rho' {rho} outside the valid range [0, 10]")
-        category = enum_from_label(HazardCategory, doc["category"], where)
-        level = enum_from_label(Criticality, doc["d"], where)
-        tau = enum_from_label(TimeSensitivity, doc["tau"], where)
-        phi = enum_from_label(Feasibility, doc["phi"], where)
-        grade = enum_from_label(Criticality, doc["k"], where)
+        category = enum_from_label(HazardCategory, doc["category"])
+        level = enum_from_label(Criticality, doc["d"])
+        tau = enum_from_label(TimeSensitivity, doc["tau"])
+        phi = enum_from_label(Feasibility, doc["phi"])
+        grade = enum_from_label(Criticality, doc["k"])
         if level is not grade:
             raise ValidationError(
                 f"truth incoherent: level {level.value} but overall "

@@ -387,6 +387,16 @@ class TestGen:
         }
         assert categories <= {"Waste"}
 
+    def test_gen_unknown_mix_category_names_the_flag_once(self, capsys):
+        assert main(["gen", "--mix", "Sharp=1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad category mix entry 'Sharp=1': unknown HazardCategory 'Sharp'; "
+            "expected one of: SharpObject, PersonDown, Distress, SuspiciousItem, Waste, "
+            "UnattendedItem\n"
+        )
+
     def test_gen_bad_mix_is_config_error(self, capsys):
         assert main(["gen", "--mix", "Plutonium=1"]) == EXIT_CONFIG
         assert main(["gen", "--hazard-fraction", "2.0"]) == EXIT_CONFIG

@@ -362,9 +362,9 @@ class TestEnumFromLabel:
     ])
     def test_unknown_or_unhashable_label_message(self, label, shown):
         with pytest.raises(ValidationError) as info:
-            enum_from_label(Criticality, label, "ctx")
+            enum_from_label(Criticality, label)
         assert str(info.value) == (
-            f"unknown Criticality {shown} in ctx; expected one of: Low, Medium, High"
+            f"unknown Criticality {shown}; expected one of: Low, Medium, High"
         )
 
 

@@ -149,6 +149,31 @@ class TestEngineConfig:
             EngineConfig(**{field: value})
 
 
+class TestEngineConfigTickCounts:
+    """The budget and the suppression window are tick counts, checked as
+    every other tick count is."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_max", True, "t_max must be a non-negative integer, got True"),
+        ("t_max", "20", "t_max must be a non-negative integer, got '20'"),
+        ("t_max", 200.0, "t_max must be a non-negative integer, got 200.0"),
+        ("t_max", -1, "t_max must be a non-negative integer, got -1"),
+        ("t_max", 0, "t_max must be positive, got 0"),
+        ("suppression_window", 2.5, "suppression_window must be a non-negative integer, got 2.5"),
+        ("suppression_window", False,
+         "suppression_window must be a non-negative integer, got False"),
+        ("suppression_window", -1, "suppression_window must be a non-negative integer, got -1"),
+    ])
+    def test_non_tick_count_rejected(self, field, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            EngineConfig(**{field: value})
+        assert str(excinfo.value) == message
+
+    def test_smallest_tick_counts_accepted(self):
+        config = EngineConfig(t_max=1, suppression_window=0)
+        assert (config.t_max, config.suppression_window) == (1, 0)
+
+
 class TestStep:
     def test_kitchen_knife_step_no_alarm(self, s2_obs, scripted):
         engine = Engine()
@@ -647,13 +672,13 @@ class TestTraceIO:
             read_trace(path)
 
     _ENUM_LABELS = {
-        "category": "HazardCategory 'Bogus' in {where}; expected one of: SharpObject, "
+        "category": "HazardCategory 'Bogus'; expected one of: SharpObject, "
                     "PersonDown, Distress, SuspiciousItem, Waste, UnattendedItem",
-        "d": "Criticality 'Bogus' in {where}; expected one of: Low, Medium, High",
-        "tau": "TimeSensitivity 'Bogus' in {where}; expected one of: Immediate, Soon, NearFuture",
-        "phi": "Feasibility 'Bogus' in {where}; expected one of: Robot, PoC, HelpNeeded",
-        "k": "Criticality 'Bogus' in {where}; expected one of: Low, Medium, High",
-        "chi": "Character 'Bogus' in {where}; expected one of: inquiry, alert, urgent",
+        "d": "Criticality 'Bogus'; expected one of: Low, Medium, High",
+        "tau": "TimeSensitivity 'Bogus'; expected one of: Immediate, Soon, NearFuture",
+        "phi": "Feasibility 'Bogus'; expected one of: Robot, PoC, HelpNeeded",
+        "k": "Criticality 'Bogus'; expected one of: Low, Medium, High",
+        "chi": "Character 'Bogus'; expected one of: inquiry, alert, urgent",
     }
 
     @pytest.mark.parametrize("change, message", [
@@ -667,14 +692,12 @@ class TestTraceIO:
             for label in ("Bogus", ["Bogus"])
         ],
         (lambda r: dict(r, recipients=["nearby", "Bogus"]),
-         "unknown Channel 'Bogus' in {where}; expected one of: nearby, remote, coordination"),
+         "unknown Channel 'Bogus'; expected one of: nearby, remote, coordination"),
         (lambda r: dict(r, recipients=[["nearby"]]),
-         "unknown Channel ['nearby'] in {where}; expected one of: nearby, remote, coordination"),
-        (lambda r: dict(r, rho="high"), "could not convert string to float: 'high'"),
-        (lambda r: dict(r, gamma="high"), "could not convert string to float: 'high'"),
-        (lambda r: dict(r, tick=None),
-         "int() argument must be a string, a bytes-like object or a real number, "
-         "not 'NoneType'"),
+         "unknown Channel ['nearby']; expected one of: nearby, remote, coordination"),
+        (lambda r: dict(r, rho="high"), "'rho' must be a number or null, got 'high'"),
+        (lambda r: dict(r, gamma="high"), "'gamma' must be a number or null, got 'high'"),
+        (lambda r: dict(r, tick=None), "'tick' must be an integer, got None"),
     ], ids=[
         "not-object", "missing-fields",
         *[f"{field}-{kind}" for field in _ENUM_LABELS for kind in ("unknown", "list")],
@@ -688,7 +711,19 @@ class TestTraceIO:
         where = f"{path}:1"
         with pytest.raises(ValidationError) as excinfo:
             read_trace(path)
-        assert str(excinfo.value) == f"{where}: " + message.format(where=where)
+        assert str(excinfo.value) == f"{where}: {message}"
+
+    def test_unknown_label_names_its_line_once(self, tmp_path, s1_obs, scripted):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, [Engine().step(s1_obs, scripted).record] * 2)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), k="Huge"))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: unknown Criticality 'Huge'; expected one of: Low, Medium, High"
+        )
 
     @pytest.mark.parametrize("field, value, message", [
         ("alarm", "no", "'alarm' must be true or false, got 'no'"),

@@ -34,6 +34,7 @@ from hazcom.cli import EXIT_VIOLATION, main
 from hazcom.core import MessageTuple, RiskScore, band_risk, location_phrase
 from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario
+from hazcom.metrics import objective_loss
 from hazcom.oracle import Violation
 from hazcom.scenarios import (
     _BENIGN_POOL,
@@ -210,6 +211,19 @@ class TestScenarioFiles:
         path.write_text(json.dumps(document))
         with pytest.raises(ConfigurationError, match="incoherent"):
             load_scenarios(path)
+
+    def test_unknown_truth_label_names_its_place_once(self, tmp_path):
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        document = json.loads(path.read_text())
+        document["scenarios"][0]["steps"][1]["truth"]["k"] = "Huge"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_scenarios(path)
+        assert str(excinfo.value) == (
+            f"{path}: scenario 0 (S1-knife-unsafe-area, step 1): "
+            "unknown Criticality 'Huge'; expected one of: Low, Medium, High"
+        )
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda obs: obs["entities"][0].pop("attribute"), "entity must have exactly"),
@@ -653,6 +667,31 @@ class TestRunSuite:
         assert digest.hexdigest() == (
             "41b07f7c10e3fac250b58e13e8636ae4629aa971e7acb5f3d10815d93f5d4070"
         )
+
+    @pytest.mark.parametrize("name, terms", [
+        ("object-baseline", (10.0, 2.0)), ("location-baseline", (12.0, 2.0)),
+    ])
+    def test_suite_loss_is_the_sum_of_its_scenarios_losses(self, name, terms):
+        suite = builtin_suite()
+        result = run_suite(suite, {name: local_backends()[name]}).results[name]
+        losses = [
+            objective_loss(result.runs[s.scenario_id].trace, s.ground_truth, 1.0, t_max=200)
+            for s in suite
+        ]
+        assert (sum(loss.l_hazard for loss in losses),
+                sum(loss.l_fatigue for loss in losses)) == terms
+        assert (result.loss.l_hazard, result.loss.l_fatigue) == terms
+        assert (losses[-1].l_hazard, losses[-1].l_fatigue) == (8.0, 0.0)
+
+    def test_suite_loss_restarts_the_fatigue_window_in_each_scenario(self):
+        # Ticks restart in each scenario: S1's alert at tick 120 in both
+        # copies is no repeat, though the joined trace would count one.
+        s1 = builtin_suite()[0]
+        suite = [s1, Scenario("S1-again", s1.observations, s1.ground_truth)]
+        result = run_suite(suite, {"scripted": ScriptedBackend()}).results["scripted"]
+        assert result.loss.l_fatigue == 0.0
+        joined = [record for s in suite for record in result.runs[s.scenario_id].trace]
+        assert objective_loss(joined, s1.ground_truth * 2, 1.0, t_max=200).l_fatigue == 1.0
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValidationError):

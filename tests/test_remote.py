@@ -114,6 +114,31 @@ class TestWireFormat:
         with pytest.raises(BackendResponseError):
             decode_assessment({"no_hazard": True, "rho": 1.0})
 
+    def test_no_hazard_false_rejected(self, s1_obs):
+        with pytest.raises(BackendResponseError) as excinfo:
+            decode_assessment({"no_hazard": False})
+        assert str(excinfo.value) == "'no_hazard' must be true, got False"
+        # Read as "no hazard", a malformed answer would clear the alarm in silence.
+        backend = RemoteBackend("stub://model", transport=lambda *args: json.loads(
+            '{"no_hazard": false}'
+        ))
+        result = Engine().step(s1_obs, backend)
+        assert result.fallback_used and result.record.fallback
+        assert result.output is not None and result.record.criticality is not None
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc["env"].update(location_type="Rooftop"),
+        lambda doc: doc["entities"][0].update(object_label=""),
+        lambda doc: doc.update(caption=""),
+        lambda doc: doc.update(timestamp=-1),
+    ], ids=["unknown-location", "empty-label", "empty-caption", "negative-timestamp"])
+    def test_invalid_request_value_rejected(self, s1_obs, change):
+        doc = encode_observation(s1_obs)
+        change(doc)
+        with pytest.raises(BackendResponseError) as excinfo:
+            decode_observation(doc)
+        assert str(excinfo.value).startswith("invalid request values: ")
+
     def test_unknown_request_field_rejected(self, s1_obs):
         doc = encode_observation(s1_obs)
         doc["extra"] = 1
