@@ -8,8 +8,8 @@ old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
 test in one, as pytest names them.  On a shared 2-vCPU machine (Python
-3.11) the 78 mutants took 5 min 20 s, where running the whole test suite
-per mutant took about three minutes for the first 17.
+3.11) the 80 mutants took 2 min 54 s to 4 min 30 s, where running the
+whole test suite per mutant took about three minutes for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
 killed only by a test that names the behaviour it broke.
@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 _PERCEPTION = ("tests/test_perception.py",)
 _TRANSPORT = "tests/test_remote.py::TestHttpTransport::"
 _WIRE = "tests/test_remote.py::TestWireFormat::"
+_SHARED_VERDICT = "tests/test_remote.py::TestSharedVerdict::"
 _WRITER = "tests/test_trace_codec.py::TestWriterExactness::"
 _READER = "tests/test_trace_codec.py::TestReaderAgreesWithCheckedPath::"
 _RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
@@ -123,6 +124,12 @@ MUTANTS = (
            "except ValidationError as exc:\n        raise BackendResponseError(f\"invalid request",
            "except BackendResponseError as exc:\n        raise BackendResponseError(f\"invalid request",
            (_WIRE + "test_invalid_request_value_rejected",)),
+    Mutant("remote verdict key drops the score's sign", "perception.py",
+           'math.copysign(1.0, rho), doc["rationale"])', '1.0, doc["rationale"])',
+           (_SHARED_VERDICT + "test_zero_keeps_its_sign_in_the_trace_line",)),
+    Mutant("request encoder sorts the keys", "_http.py",
+           '": ", ", ", False, False, True)', '": ", ", ", True, False, True)',
+           ("tests/test_remote.py::TestRequestBytes",)),
     Mutant("HTTP client loads the stdlib HTTP library", "_http.py",
            "import json\nimport re\n", "import http.client\nimport json\nimport re\n",
            ("tests/test_remote.py::test_import_loads_no_http_client_library",)),

@@ -14,6 +14,7 @@ import socket
 import threading
 import time
 from functools import lru_cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -25,6 +26,10 @@ _STATUS_LINE = re.compile(rb"HTTP/\d+(?:\.\d+)? (\d{3})(?: [^\r\n]*)?(?:\r\n|\Z)
 _CONTENT_LENGTH = re.compile(rb"\r\ncontent-length[ \t]*:[ \t]*(\d+)[ \t]*\r\n", re.I)
 _TRANSFER_ENCODING = re.compile(rb"\r\ntransfer-encoding[ \t]*:", re.I)
 _UNSAFE_URL_CHAR = re.compile(r"[^\x21-\x7e]")  # space, control or non-ASCII
+# json.dumps's encoder, built once instead of on every call, and without the
+# cycle check: a request is encode_observation's tree of new dicts and lists.
+_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ", ", False, False, True)
 
 
 class Endpoint(NamedTuple):
@@ -77,9 +82,11 @@ def check_timeout(timeout_s: float) -> None:
 def post_json(url: str, document: dict, timeout_s: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
-    ``url`` is parsed, its request head framed and its host checked on the
-    first post to it only.  A numeric host is connected without a lookup; a
-    named host is resolved on every post.  ``timeout_s`` bounds the whole
+    The body is the bytes of ``json.dumps(document)``, from one encoder built
+    at import; ``document`` must hold no reference cycle.  ``url`` is parsed,
+    its request head framed and its host checked on the first post to it
+    only.  A numeric host is connected without a lookup; a named host is
+    resolved on every post.  ``timeout_s`` bounds the whole
     exchange (that blocking name lookup aside).  Raises TimeoutError when it
     passes, ConnectionError on a transport failure (an unusable URL or
     timeout, an unreachable host, a status outside 2xx, a reply that breaks
@@ -92,7 +99,7 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
         endpoint = parse_url(url)
     except ConfigurationError as exc:
         raise ConnectionError(f"cannot reach {url}: {exc}") from exc
-    body = json.dumps(document).encode("utf-8")
+    body = "".join(_encode(document, 0)).encode("utf-8")
     request = endpoint.head + b"%d\r\nConnection: close\r\n\r\n" % len(body) + body
     try:
         addresses = endpoint.addresses or socket.getaddrinfo(

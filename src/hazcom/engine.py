@@ -175,7 +175,9 @@ class TraceRecord(NamedTuple):
                 elif float in types and type(value) is int:
                     value = float(value)  # OverflowError past the largest float
                 values.append(value)
-        except (OverflowError, ValidationError) as exc:
+        except OverflowError as exc:
+            raise ValidationError(f"{where}: {key!r} is out of range: {exc}") from exc
+        except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         return cls._make(values)
 

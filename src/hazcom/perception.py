@@ -477,7 +477,11 @@ _NO_HAZARD_FIELDS = {"no_hazard": ((bool,), "true", True)}
 
 
 def encode_observation(obs: Observation) -> dict:
-    """Observation -> request document. Field names are part of the contract."""
+    """Observation -> request document. Field names are part of the contract.
+
+    Labels are read from each member's stored ``_value_``, as
+    ``TraceRecord.to_wire`` reads them: the ``.value`` descriptor costs more."""
+    env = obs.env
     return {
         "timestamp": obs.timestamp,
         "caption": obs.scene_caption,
@@ -486,9 +490,9 @@ def encode_observation(obs: Observation) -> dict:
             for e in obs.salient_entities
         ],
         "env": {
-            "location_type": obs.env.location_type.value,
-            "crowd_density": obs.env.crowd_density.value,
-            "vulnerable_present": obs.env.vulnerable_present,
+            "location_type": env.location_type._value_,
+            "crowd_density": env.crowd_density._value_,
+            "vulnerable_present": env.vulnerable_present,
         },
     }
 
@@ -523,14 +527,16 @@ def decode_observation(doc: dict) -> Observation:
 
 
 def encode_assessment(assessment: Optional[HazardAssessment]) -> dict:
-    """Assessment (or no-hazard) -> response document."""
+    """Assessment (or no-hazard) -> response document; labels read as
+    :func:`encode_observation` reads them."""
     if assessment is None:
         return {"no_hazard": True}
+    factors = assessment.factors
     return {
-        "category": assessment.category.value,
-        "d": assessment.factors.criticality_level.value,
-        "tau": assessment.factors.time_sensitivity.value,
-        "phi": assessment.factors.feasibility.value,
+        "category": assessment.category._value_,
+        "d": factors.criticality_level._value_,
+        "tau": factors.time_sensitivity._value_,
+        "phi": factors.feasibility._value_,
         "rho": assessment.risk.value,
         "rationale": assessment.rationale,
     }
@@ -541,7 +547,11 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
 
     Either exactly ``{"no_hazard": true}`` or exactly the six assessment
     fields; anything else (unknown fields, out-of-range score, band/level
-    incoherence) is rejected.
+    incoherence) is rejected.  Every response is checked; equal responses
+    then share one validated verdict, kept in a bounded cache of at most
+    ``MEMO_SIZE`` entries keyed on the six values and the score's sign (a
+    refused response is never kept).  A rule-table server repeats a few
+    verdicts; a server that writes a new rationale each time never hits.
     """
     if type(doc) is dict and "no_hazard" in doc:
         check_fields(doc, _NO_HAZARD_FIELDS, "no-hazard response", BackendResponseError)
@@ -550,18 +560,31 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
         return None
     check_fields(doc, _RESPONSE_FIELDS, "response", BackendResponseError)
     try:
-        return HazardAssessment(
-            category=enum_from_label(HazardCategory, doc["category"]),
-            factors=ContextFactors(
-                enum_from_label(Criticality, doc["d"]),
-                enum_from_label(TimeSensitivity, doc["tau"]),
-                enum_from_label(Feasibility, doc["phi"]),
-            ),
-            risk=RiskScore(float(doc["rho"])),
-            rationale=doc["rationale"],
-        )
-    except (OverflowError, ValidationError) as exc:
+        rho = float(doc["rho"])  # OverflowError for an int past the largest float
+        # The sign keeps -0.0 and 0.0 apart, as they serialize apart; an int
+        # score shares its float's verdict.
+        return _response_verdict(doc["category"], doc["d"], doc["tau"], doc["phi"], rho,
+                                 math.copysign(1.0, rho), doc["rationale"])
+    except OverflowError as exc:
+        raise BackendResponseError(
+            f"invalid response values: 'rho' is out of range: {exc}") from exc
+    except ValidationError as exc:
         raise BackendResponseError(f"invalid response values: {exc}") from exc
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _response_verdict(category: str, d: str, tau: str, phi: str, rho: float, sign: float,
+                      rationale: str) -> HazardAssessment:
+    return HazardAssessment(
+        category=enum_from_label(HazardCategory, category),
+        factors=ContextFactors(
+            enum_from_label(Criticality, d),
+            enum_from_label(TimeSensitivity, tau),
+            enum_from_label(Feasibility, phi),
+        ),
+        risk=RiskScore(rho),
+        rationale=rationale,
+    )
 
 
 Transport = Callable[[str, dict, int], dict]
@@ -570,12 +593,14 @@ Transport = Callable[[str, dict, int], dict]
 def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
     """Default transport: blocking JSON POST with a whole-exchange deadline.
 
-    The HTTP client (and with it ``socket``) loads on the first post.  Each
-    endpoint is parsed, framed and checked once, and a numeric host is
-    connected without a lookup; a named host is resolved on every post.
+    The HTTP client (and with it ``socket``) loads on the first post and is
+    kept for the next.  Each endpoint is parsed, framed and checked once, and
+    a numeric host is connected without a lookup; a named host is resolved
+    on every post.
     """
-    from . import _http
-
+    global _http
+    if _http is None:
+        from . import _http
     try:
         timeout_s = ticks_to_seconds(timeout_ticks)
     except OverflowError:  # a tick count too large to convert to seconds
@@ -590,6 +615,9 @@ def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
         raise BackendTransportError(str(exc)) from exc
     except ValueError as exc:
         raise BackendResponseError(str(exc)) from exc
+
+
+_http = None  # the HTTP client module, loaded by the first post
 
 
 class RemoteBackend:

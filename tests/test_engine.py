@@ -749,13 +749,18 @@ class TestTraceIO:
             read_trace(path)
         assert str(excinfo.value) == f"{path}:1: {message}"
 
-    @pytest.mark.parametrize("field, value", [("tick", float("inf")), ("rho", 10**400)])
+    @pytest.mark.parametrize("field, value, message", [
+        ("tick", float("inf"), "'tick' must be an integer, got inf"),
+        ("rho", 10**400, "'rho' is out of range: int too large to convert to float"),
+        ("gamma", 10**400, "'gamma' is out of range: int too large to convert to float"),
+    ], ids=["tick-inf", "rho-int-past-float", "gamma-int-past-float"])
     def test_overflowing_number_raises_with_location(
-        self, tmp_path, s1_obs, scripted, field, value
+        self, tmp_path, s1_obs, scripted, field, value, message
     ):
         path = tmp_path / "trace.jsonl"
         write_trace(path, [Engine().step(s1_obs, scripted).record])
         record = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(dict(record, **{field: value})) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="trace.jsonl:1"):
+        with pytest.raises(ValidationError) as excinfo:
             read_trace(path)
+        assert str(excinfo.value) == f"{path}:1: {message}"

@@ -21,8 +21,13 @@ from hazcom import (
     BackendTransportError,
     ConfigurationError,
     Criticality,
+    CrowdDensity,
     Engine,
+    Entity,
+    EnvContext,
     HazardCategory,
+    LocationType,
+    Observation,
     RemoteBackend,
     ValidationError,
     oracle_verify,
@@ -32,6 +37,7 @@ from hazcom import (
 from hazcom import _http
 from hazcom.clock import TICKS_PER_SECOND, VirtualClock
 from hazcom.core import check_fields
+from hazcom.engine import write_trace
 from hazcom.perception import (
     _ENTITY_FIELDS,
     _ENV_FIELDS,
@@ -173,12 +179,61 @@ class TestWireFormat:
 
     def test_overflowing_score_falls_back(self, s1_obs):
         doc = dict(VALID_RESPONSE, rho=10**400)
-        with pytest.raises(BackendResponseError, match="invalid response values"):
+        with pytest.raises(BackendResponseError) as excinfo:
             decode_assessment(doc)
+        assert str(excinfo.value) == (
+            "invalid response values: 'rho' is out of range: int too large to convert to float")
         backend = RemoteBackend("stub://model", transport=lambda *args: doc)
         result = Engine().step(s1_obs, backend)
         assert result.fallback_used
         assert oracle_verify([result.record.to_wire()]) == []
+
+
+LOW_RESPONSE = {
+    "category": "Waste",
+    "d": "Low",
+    "tau": "NearFuture",
+    "phi": "Robot",
+    "rho": 0.0,
+    "rationale": "remote stub verdict",
+}
+
+
+class TestSharedVerdict:
+    """Equal responses share one checked verdict; the sharing changes no
+    outcome, and a refused response is refused on every call."""
+
+    def test_equal_responses_share_one_verdict(self):
+        first = decode_assessment(dict(VALID_RESPONSE))
+        assert decode_assessment(json.loads(json.dumps(VALID_RESPONSE))) is first
+
+    @pytest.mark.parametrize("first, then", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zero_keeps_its_sign_in_the_trace_line(self, tmp_path, s1_obs, first, then):
+        for rho in (first, then):
+            response = dict(LOW_RESPONSE, rho=rho)
+            backend = RemoteBackend("stub://model", transport=lambda *args: response)
+            path = tmp_path / f"{rho!r}.jsonl"
+            write_trace(path, [Engine().step(s1_obs, backend).record])
+            assert f'"rho": {rho!r},' in path.read_text(encoding="utf-8")
+
+    def test_int_score_and_its_float_give_equal_verdicts(self):
+        as_int = decode_assessment(dict(VALID_RESPONSE, d="Medium", rho=7))
+        as_float = decode_assessment(dict(VALID_RESPONSE, d="Medium", rho=7.0))
+        assert as_int == as_float
+        assert type(as_int.risk.value) is float and type(as_float.risk.value) is float
+
+    @pytest.mark.parametrize("change, message", [
+        ({"category": "Sharp"}, "unknown HazardCategory 'Sharp'"),
+        ({"rho": math.nan}, "risk score nan outside"),
+        ({"rho": 10.5}, "risk score 10.5 outside"),
+        ({"rho": 10**400}, "'rho' is out of range"),
+    ], ids=["unknown-label", "nan", "out-of-range", "int-past-float"])
+    def test_refused_on_every_call_after_a_valid_twin(self, change, message):
+        assert decode_assessment(dict(VALID_RESPONSE)) is not None
+        for _ in range(2):
+            with pytest.raises(BackendResponseError) as excinfo:
+                decode_assessment(dict(VALID_RESPONSE, **change))
+            assert str(excinfo.value).startswith(f"invalid response values: {message}")
 
 
 _DROPPED = object()  # a change that removes its key
@@ -498,6 +553,55 @@ class TestHttpTransport:
         finally:
             released.set()
         assert result.category is HazardCategory.SHARP_OBJECT
+
+
+class _RecordingSocket:
+    """A connected socket's stand-in: keeps what is sent, answers VALID_RESPONSE."""
+
+    def __init__(self):
+        self.sent = bytearray()
+        self._reply = [b"HTTP/1.0 200 OK\r\n\r\n" + json.dumps(VALID_RESPONSE).encode()]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, size):
+        return self._reply.pop() if self._reply else b""
+
+
+# Captions and labels: any text, and some that is surely not ASCII.
+_WORDS = st.one_of(st.text(min_size=1, max_size=12),
+                   st.sampled_from(["café", "包丁", "\U0001f52a", "a\u2028b"]))
+_OBSERVATIONS = st.builds(
+    Observation,
+    timestamp=st.integers(min_value=0, max_value=2**70),
+    scene_caption=_WORDS,
+    salient_entities=st.lists(st.builds(Entity, _WORDS, st.text(max_size=12)), max_size=3),
+    env=st.builds(EnvContext, st.sampled_from(list(LocationType)),
+                  st.sampled_from(list(CrowdDensity)), st.booleans()),
+)
+
+
+class TestRequestBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(obs=_OBSERVATIONS)
+    def test_body_is_json_dumps_of_the_request(self, obs):
+        sock = _RecordingSocket()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_http, "_connect", lambda addresses, deadline: sock)
+            _http.post_json("http://127.0.0.1:9/assess", encode_observation(obs), 5.0)
+        head, _, body = bytes(sock.sent).partition(b"\r\n\r\n")
+        assert body == json.dumps(encode_observation(obs)).encode("utf-8")
+        assert b"\r\nContent-Length: %d\r\n" % len(body) in head
 
 
 # Replies shaped like HTTP often enough to reach every check in the client.
