@@ -52,7 +52,7 @@ class Mutant(NamedTuple):
 _PERCEPTION = ("tests/test_perception.py",)
 _TRANSPORT = "tests/test_remote.py::TestHttpTransport::"
 _WIRE = "tests/test_remote.py::TestWireFormat::"
-_SHARED_VERDICT = "tests/test_remote.py::TestSharedVerdict::"
+_RESPONSE_SCORES = "tests/test_remote.py::TestResponseScores::"
 _WRITER = "tests/test_trace_codec.py::TestWriterExactness::"
 _READER = "tests/test_trace_codec.py::TestReaderAgreesWithCheckedPath::"
 _RESPELT = (_READER + "test_per_step_value_spelt_another_way",)
@@ -124,9 +124,9 @@ MUTANTS = (
            "except ValidationError as exc:\n        raise BackendResponseError(f\"invalid request",
            "except BackendResponseError as exc:\n        raise BackendResponseError(f\"invalid request",
            (_WIRE + "test_invalid_request_value_rejected",)),
-    Mutant("remote verdict key drops the score's sign", "perception.py",
-           'math.copysign(1.0, rho), doc["rationale"])', '1.0, doc["rationale"])',
-           (_SHARED_VERDICT + "test_zero_keeps_its_sign_in_the_trace_line",)),
+    Mutant("response score drops its sign", "perception.py",
+           'risk=RiskScore(float(doc["rho"]))', 'risk=RiskScore(abs(float(doc["rho"])))',
+           (_RESPONSE_SCORES + "test_zero_keeps_its_sign_in_the_trace_line",)),
     Mutant("request encoder sorts the keys", "_http.py",
            '": ", ", ", False, False, True)', '": ", ", ", True, False, True)',
            ("tests/test_remote.py::TestRequestBytes",)),

@@ -26,10 +26,18 @@ _STATUS_LINE = re.compile(rb"HTTP/\d+(?:\.\d+)? (\d{3})(?: [^\r\n]*)?(?:\r\n|\Z)
 _CONTENT_LENGTH = re.compile(rb"\r\ncontent-length[ \t]*:[ \t]*(\d+)[ \t]*\r\n", re.I)
 _TRANSFER_ENCODING = re.compile(rb"\r\ntransfer-encoding[ \t]*:", re.I)
 _UNSAFE_URL_CHAR = re.compile(r"[^\x21-\x7e]")  # space, control or non-ASCII
-# json.dumps's encoder, built once instead of on every call, and without the
-# cycle check: a request is encode_observation's tree of new dicts and lists.
-_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
-                         ": ", ", ", False, False, True)
+if c_make_encoder is None:  # a Python without json's C accelerator
+    _json_text = json.dumps
+else:
+    # json.dumps's encoder, built once instead of on every call, and without
+    # the cycle check: a request is encode_observation's tree of new dicts and
+    # lists.  Arguments: markers, default, string encoder, indent, key and
+    # item separators, sort_keys, skipkeys, allow_nan.
+    _encoder = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                              ": ", ", ", False, False, True)
+
+    def _json_text(document: dict) -> str:
+        return "".join(_encoder(document, 0))
 
 
 class Endpoint(NamedTuple):
@@ -99,7 +107,7 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
         endpoint = parse_url(url)
     except ConfigurationError as exc:
         raise ConnectionError(f"cannot reach {url}: {exc}") from exc
-    body = "".join(_encode(document, 0)).encode("utf-8")
+    body = _json_text(document).encode("utf-8")
     request = endpoint.head + b"%d\r\nConnection: close\r\n\r\n" % len(body) + body
     try:
         addresses = endpoint.addresses or socket.getaddrinfo(

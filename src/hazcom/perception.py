@@ -547,11 +547,7 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
 
     Either exactly ``{"no_hazard": true}`` or exactly the six assessment
     fields; anything else (unknown fields, out-of-range score, band/level
-    incoherence) is rejected.  Every response is checked; equal responses
-    then share one validated verdict, kept in a bounded cache of at most
-    ``MEMO_SIZE`` entries keyed on the six values and the score's sign (a
-    refused response is never kept).  A rule-table server repeats a few
-    verdicts; a server that writes a new rationale each time never hits.
+    incoherence) is rejected.
     """
     if type(doc) is dict and "no_hazard" in doc:
         check_fields(doc, _NO_HAZARD_FIELDS, "no-hazard response", BackendResponseError)
@@ -560,31 +556,21 @@ def decode_assessment(doc: dict) -> Optional[HazardAssessment]:
         return None
     check_fields(doc, _RESPONSE_FIELDS, "response", BackendResponseError)
     try:
-        rho = float(doc["rho"])  # OverflowError for an int past the largest float
-        # The sign keeps -0.0 and 0.0 apart, as they serialize apart; an int
-        # score shares its float's verdict.
-        return _response_verdict(doc["category"], doc["d"], doc["tau"], doc["phi"], rho,
-                                 math.copysign(1.0, rho), doc["rationale"])
+        return HazardAssessment(
+            category=enum_from_label(HazardCategory, doc["category"]),
+            factors=ContextFactors(
+                enum_from_label(Criticality, doc["d"]),
+                enum_from_label(TimeSensitivity, doc["tau"]),
+                enum_from_label(Feasibility, doc["phi"]),
+            ),
+            risk=RiskScore(float(doc["rho"])),  # OverflowError past the largest float
+            rationale=doc["rationale"],
+        )
     except OverflowError as exc:
         raise BackendResponseError(
             f"invalid response values: 'rho' is out of range: {exc}") from exc
     except ValidationError as exc:
         raise BackendResponseError(f"invalid response values: {exc}") from exc
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _response_verdict(category: str, d: str, tau: str, phi: str, rho: float, sign: float,
-                      rationale: str) -> HazardAssessment:
-    return HazardAssessment(
-        category=enum_from_label(HazardCategory, category),
-        factors=ContextFactors(
-            enum_from_label(Criticality, d),
-            enum_from_label(TimeSensitivity, tau),
-            enum_from_label(Feasibility, phi),
-        ),
-        risk=RiskScore(rho),
-        rationale=rationale,
-    )
 
 
 Transport = Callable[[str, dict, int], dict]

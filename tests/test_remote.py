@@ -199,13 +199,9 @@ LOW_RESPONSE = {
 }
 
 
-class TestSharedVerdict:
-    """Equal responses share one checked verdict; the sharing changes no
-    outcome, and a refused response is refused on every call."""
-
-    def test_equal_responses_share_one_verdict(self):
-        first = decode_assessment(dict(VALID_RESPONSE))
-        assert decode_assessment(json.loads(json.dumps(VALID_RESPONSE))) is first
+class TestResponseScores:
+    """A response's score keeps its sign and reads as a float, and a refused
+    response is refused on every call."""
 
     @pytest.mark.parametrize("first, then", [(0.0, -0.0), (-0.0, 0.0)])
     def test_zero_keeps_its_sign_in_the_trace_line(self, tmp_path, s1_obs, first, then):
@@ -602,6 +598,19 @@ class TestRequestBytes:
         head, _, body = bytes(sock.sent).partition(b"\r\n\r\n")
         assert body == json.dumps(encode_observation(obs)).encode("utf-8")
         assert b"\r\nContent-Length: %d\r\n" % len(body) in head
+
+    def test_without_the_c_accelerator_the_body_is_json_dumps(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["hazcom"].__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json, json.encoder; json.encoder.c_make_encoder = None\n"
+             "from hazcom import _http\n"
+             "doc = {'caption': 'caf\\u00e9', 'entities': [], 'timestamp': 7}\n"
+             "print(_http._json_text is json.dumps, _http._json_text(doc) == json.dumps(doc))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+            check=True,
+        ).stdout
+        assert out.split() == ["True", "True"]
 
 
 # Replies shaped like HTTP often enough to reach every check in the client.
