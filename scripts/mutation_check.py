@@ -8,7 +8,7 @@ old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
 test in one, as pytest names them.  On a shared 2-vCPU machine (Python
-3.11) the 80 mutants took 2 min 54 s to 4 min 30 s, where running the
+3.11) the 82 mutants took 4 min 3 s to 5 min 20 s, where running the
 whole test suite per mutant took about three minutes for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
@@ -103,20 +103,17 @@ MUTANTS = (
            "_LOCATION_VERDICTS[verdict.category, obs.env.location_type]",
            "_LOCATION_VERDICTS[HazardCategory.WASTE, obs.env.location_type]", _PERCEPTION),
     Mutant("zero remote timeout accepted", "perception.py",
-           "if not 0 < timeout_ticks < math.inf:", "if not 0 <= timeout_ticks < math.inf:",
-           ("tests/test_remote.py",)),
-    Mutant("infinite remote timeout accepted", "perception.py",
-           "if not 0 < timeout_ticks < math.inf:", "if not 0 < timeout_ticks:",
-           ("tests/test_remote.py",)),
-    Mutant("socket timeout out of range accepted when built", "perception.py",
-           "_http.check_timeout(ticks_to_seconds(timeout_ticks))", "pass",
+           "timeout_ticks <= 0:", "timeout_ticks < 0:", ("tests/test_remote.py",)),
+    Mutant("non-int remote timeout accepted", "perception.py",
+           "if type(timeout_ticks) is not int or timeout_ticks <= 0:",
+           "if not timeout_ticks > 0:", ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("remote limits unchecked when built", "perception.py",
+           "_http.check_limits(endpoint, timeout_ticks)", "pass",
            ("tests/test_remote.py::TestEndpointValidation",)),
-    Mutant("remote timeout too large for a float escapes as OverflowError", "perception.py",
-           "except OverflowError:  # an int tick count too large for a float",
-           "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
-    Mutant("transport lets a tick count too large for a float escape", "perception.py",
-           "except OverflowError:  # a tick count too large to convert to seconds",
-           "except ZeroDivisionError:", ("tests/test_remote.py::TestEndpointValidation",)),
+    Mutant("remote timeout too large for a float escapes as OverflowError", "_http.py",
+           "timeout_ticks < threading.TIMEOUT_MAX * TICKS_PER_SECOND:",
+           "ticks_to_seconds(timeout_ticks) < threading.TIMEOUT_MAX:",
+           ("tests/test_remote.py::TestEndpointValidation",)),
     Mutant("no_hazard: false is accepted", "perception.py",
            'if doc["no_hazard"] is not True:', "if False:",
            (_WIRE + "test_no_hazard_false_rejected",)),
@@ -134,7 +131,7 @@ MUTANTS = (
            "import json\nimport re\n", "import http.client\nimport json\nimport re\n",
            ("tests/test_remote.py::test_import_loads_no_http_client_library",)),
     Mutant("socket timeout out of range reaches the socket", "_http.py",
-           "if not timeout_s < threading.TIMEOUT_MAX:", "if False:",
+           "if not timeout_ticks < threading.TIMEOUT_MAX * TICKS_PER_SECOND:", "if False:",
            ("tests/test_remote.py",)),
     Mutant("cached request head keeps userinfo in Host", "_http.py",
            "parts.netloc.rpartition('@')[2]", "parts.netloc",
@@ -143,6 +140,10 @@ MUTANTS = (
            "sock.settimeout(_remaining(deadline))\n            sock.connect(address)",
            "sock.connect(address)",
            (_TRANSPORT + "test_connect_to_a_full_listener_times_out_at_the_deadline",)),
+    Mutant("HTTP client raises a timeout as a transport error", "_http.py",
+           'raise BackendTimeout(f"no response from {url}',
+           'raise BackendTransportError(f"no response from {url}',
+           ("tests/test_remote.py::TestPostJsonErrors",)),
     Mutant("host the IDNA codec refuses accepted when built", "_http.py",
            'parts.hostname.encode("idna")', 'parts.hostname.encode("ascii")',
            ("tests/test_remote.py::TestEndpointValidation",)),
@@ -154,6 +155,14 @@ MUTANTS = (
            "if type(value) is not int or value < 0:",
            "if not isinstance(value, int) or value < 0:",
            ("tests/test_engine.py", "tests/test_perception.py")),
+    Mutant("tick count past a float accepted", "core.py",
+           "if bounded and value > MAX_TICKS:", "if False:",
+           ("tests/test_engine.py::TestEngineConfigTickCounts",
+            "tests/test_cli.py::TestRun::test_fault_delay_past_a_float_is_config_error")),
+    Mutant("unknown template placeholder accepted", "core.py",
+           "except (LookupError, AttributeError, TypeError, ValueError) as exc:",
+           "except (AttributeError, TypeError, ValueError) as exc:",
+           ("tests/test_core.py::TestTemplateTable",)),
     Mutant("virtual clock advances by a fraction", "clock.py",
            "check_ticks(\"clock advance\", ticks)\n        self._now += ticks",
            "self._now += ticks", ("tests/test_engine.py",)),

@@ -19,11 +19,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "clock": ("TICKS_PER_SECOND", "VirtualClock", "WallClock"),
     "core": (
+        "BackendError", "BackendResponseError", "BackendTimeout", "BackendTransportError",
         "Channel", "CHANNEL_ORDER", "Character", "CommOutput", "ConfigurationError",
         "ContextFactors", "Criticality", "CrowdDensity", "EnvContext", "Feasibility",
-        "HazardCategory", "LocationType", "MessageTuple", "RiskScore", "TemplateTable",
-        "TimeSensitivity", "ValidationError", "alarm_for", "assemble_output", "band_risk",
-        "character_for", "compose_message", "recipients_for", "tone_for",
+        "HazardCategory", "InjectedFault", "LocationType", "MessageTuple", "RiskScore",
+        "TemplateTable", "TimeSensitivity", "ValidationError", "alarm_for",
+        "assemble_output", "band_risk", "character_for", "compose_message",
+        "recipients_for", "tone_for",
     ),
     "dispatch": ("DeliveryRecord", "MemorySink", "dispatch", "memory_registry"),
     "engine": (
@@ -37,11 +39,9 @@ _EXPORTS = {
     ),
     "oracle": ("Violation", "oracle_verify"),
     "perception": (
-        "Backend", "BackendError", "BackendResponseError", "BackendTimeout",
-        "BackendTransportError", "Entity", "FaultInjectingBackend", "FaultProfile",
-        "HazardAssessment", "InjectedFault", "LocationBaselineBackend",
-        "ObjectBaselineBackend", "Observation", "RemoteBackend", "RuleTable",
-        "ScriptedBackend", "baseline_location_assess", "baseline_object_assess",
+        "Backend", "Entity", "FaultInjectingBackend", "FaultProfile", "HazardAssessment",
+        "LocationBaselineBackend", "ObjectBaselineBackend", "Observation", "RemoteBackend",
+        "RuleTable", "ScriptedBackend", "baseline_location_assess", "baseline_object_assess",
         "builtin_rule_table", "scripted_assess",
     ),
     "scenarios": (

@@ -4,6 +4,7 @@ Each call is one HTTP/1.0 exchange with ``Connection: close`` on a plain
 socket.  One deadline bounds all of it, and a reply over MAX_REPLY_BYTES is
 refused.  Only ``http://`` URLs are served; proxies from the environment are
 not used, and redirects are not followed (a 3xx is a transport failure).
+The limits (:func:`check_limits`) and each failure's backend error are decided here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .core import ConfigurationError
+from .clock import TICKS_PER_SECOND, ticks_to_seconds
+from .core import BackendResponseError, BackendTimeout, BackendTransportError, ConfigurationError
 
 MAX_REPLY_BYTES = 1 << 20
 _ENDPOINTS_KEPT = 32  # parsed URLs kept; a process posts to a handful
@@ -78,35 +80,38 @@ def parse_url(url: str) -> Endpoint:
     return Endpoint(host, port, head, addresses)
 
 
-def check_timeout(timeout_s: float) -> None:
-    """Raise ConfigurationError unless a socket can wait ``timeout_s`` seconds."""
-    if not timeout_s < threading.TIMEOUT_MAX:
-        # A socket past this range raises OverflowError, and _connect leaks it.
+def check_limits(url: str, timeout_ticks: int) -> tuple[Endpoint, float]:
+    """The endpoint of ``url`` and the timeout in seconds, or ConfigurationError
+    for a URL :func:`parse_url` refuses or a wait no socket can make, a tick
+    count too large for a float included."""
+    endpoint = parse_url(url)
+    # Compared in ticks, exactly: in seconds, a count past a float would raise
+    # OverflowError, and a socket past this range raises it too.
+    if not timeout_ticks < threading.TIMEOUT_MAX * TICKS_PER_SECOND:
         raise ConfigurationError(
-            f"timeout {timeout_s}s is out of range (at most {threading.TIMEOUT_MAX}s)"
-        )
+            f"timeout is out of range: a socket waits at most {threading.TIMEOUT_MAX}s")
+    return endpoint, ticks_to_seconds(timeout_ticks)
 
 
-def post_json(url: str, document: dict, timeout_s: float) -> dict:
+def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
     The body is the bytes of ``json.dumps(document)``, from one encoder built
     at import; ``document`` must hold no reference cycle.  ``url`` is parsed,
     its request head framed and its host checked on the first post to it
     only.  A numeric host is connected without a lookup; a named host is
-    resolved on every post.  ``timeout_s`` bounds the whole
-    exchange (that blocking name lookup aside).  Raises TimeoutError when it
-    passes, ConnectionError on a transport failure (an unusable URL or
-    timeout, an unreachable host, a status outside 2xx, a reply that breaks
-    HTTP framing), and ValueError on an oversized reply or a body that is not
-    a JSON object.
+    resolved on every post.  ``timeout_ticks`` bounds the whole exchange
+    (that blocking name lookup aside).  Each failure raises its backend error,
+    naming ``url``: BackendTimeout when the deadline passes,
+    BackendTransportError on refused limits, an unreachable host, a status
+    outside 2xx or a reply that breaks HTTP framing, and BackendResponseError
+    on an oversized reply or a body that is not a JSON object.
     """
-    deadline = time.monotonic() + timeout_s
     try:
-        check_timeout(timeout_s)
-        endpoint = parse_url(url)
+        endpoint, timeout_s = check_limits(url, timeout_ticks)
     except ConfigurationError as exc:
-        raise ConnectionError(f"cannot reach {url}: {exc}") from exc
+        raise BackendTransportError(f"cannot reach {url}: {exc}") from exc
+    deadline = time.monotonic() + timeout_s
     body = _json_text(document).encode("utf-8")
     request = endpoint.head + b"%d\r\nConnection: close\r\n\r\n" % len(body) + body
     try:
@@ -115,27 +120,29 @@ def post_json(url: str, document: dict, timeout_s: float) -> dict:
         with _connect(addresses, deadline) as sock:
             sock.settimeout(_remaining(deadline))
             sock.sendall(request)
-            reply, end = _receive(sock, deadline)
+            reply, end = _receive(sock, deadline, url)
     except TimeoutError as exc:
-        raise TimeoutError(f"no response from {url} within {timeout_s}s") from exc
+        raise BackendTimeout(f"no response from {url} within {timeout_s}s") from exc
     except OSError as exc:
-        raise ConnectionError(f"cannot reach {url}: {exc}") from exc
+        raise BackendTransportError(f"cannot reach {url}: {exc}") from exc
     head, separator, _ = reply.partition(b"\r\n\r\n")
     status = _STATUS_LINE.match(head)
     if not separator or status is None:
-        raise ConnectionError(f"bad reply from {url}: no status line and headers")
+        raise BackendTransportError(f"bad reply from {url}: no status line and headers")
     if _TRANSFER_ENCODING.search(head):
-        raise ConnectionError(f"bad reply from {url}: Transfer-Encoding in a reply to HTTP/1.0")
+        raise BackendTransportError(
+            f"bad reply from {url}: Transfer-Encoding in a reply to HTTP/1.0")
     if end is not None and len(reply) < end:
-        raise ConnectionError(f"bad reply from {url}: body {end - len(reply)} bytes short")
+        raise BackendTransportError(
+            f"bad reply from {url}: body {end - len(reply)} bytes short")
     if not status[1].startswith(b"2"):
-        raise ConnectionError(f"HTTP {int(status[1])} from {url}")
+        raise BackendTransportError(f"HTTP {int(status[1])} from {url}")
     try:
         document = json.loads(reply[len(head) + 4:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"non-JSON response from {url}: {exc}") from exc
+        raise BackendResponseError(f"non-JSON response from {url}: {exc}") from exc
     if not isinstance(document, dict):
-        raise ValueError(f"expected a JSON object from {url}")
+        raise BackendResponseError(f"expected a JSON object from {url}")
     return document
 
 
@@ -162,7 +169,7 @@ def _connect(addresses: tuple | list, deadline: float) -> socket.socket:
     raise error
 
 
-def _receive(sock: socket.socket, deadline: float) -> tuple[bytearray, int | None]:
+def _receive(sock: socket.socket, deadline: float, url: str) -> tuple[bytearray, int | None]:
     """Read until the server closes or the declared body is complete, so a server
     that keeps the connection open cannot hold the call; return the reply and
     the size it declares (None without a Content-Length)."""
@@ -177,5 +184,5 @@ def _receive(sock: socket.socket, deadline: float) -> tuple[bytearray, int | Non
             length = _CONTENT_LENGTH.search(reply, 0, split + 2)
             end = split + 4 + int(length[1]) if length else None
         if max(len(reply), end or 0) > MAX_REPLY_BYTES:
-            raise ValueError(f"reply exceeds {MAX_REPLY_BYTES} bytes")
+            raise BackendResponseError(f"reply from {url} exceeds {MAX_REPLY_BYTES} bytes")
     return reply, end

@@ -17,6 +17,7 @@ from enum import Enum
 from functools import cache, lru_cache, total_ordering
 from importlib import resources
 from pathlib import Path
+from string import Formatter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Type, TypeVar
 
@@ -27,6 +28,26 @@ class ValidationError(ValueError):
 
 class ConfigurationError(Exception):
     """A table, registry, or configuration file cannot satisfy a request."""
+
+
+class BackendError(Exception):
+    """A backend failed to produce an assessment (never means "no hazard")."""
+
+
+class BackendTimeout(BackendError):
+    """The backend did not answer within its deadline."""
+
+
+class BackendTransportError(BackendError):
+    """The backend could not be reached or the transport failed mid-call."""
+
+
+class BackendResponseError(BackendError, ValidationError):
+    """The backend answered, but the response is malformed or invalid."""
+
+
+class InjectedFault(BackendError):
+    """Deliberate failure raised by the fault-injection wrapper."""
 
 
 E = TypeVar("E", bound=Enum)
@@ -57,11 +78,19 @@ def check_fields(doc: object, fields: FieldTable, what: str,
     return doc
 
 
-def check_ticks(name: str, value: object) -> None:
-    """Refuse a tick count that is not a non-negative ``int``: a bool, a float
-    and NaN each raise :class:`ValidationError`."""
+#: The largest tick count read, far past any delay: a step's stages, each a
+#: sum of a few such counts, still convert to finite seconds.
+MAX_TICKS = 2**1000
+
+
+def check_ticks(name: str, value: object, bounded: bool = True) -> None:
+    """Refuse a tick count that is not a non-negative ``int``, or, if
+    ``bounded``, one past :data:`MAX_TICKS`: a bool, a float, NaN and
+    ``10**400`` each raise :class:`ValidationError`."""
     if type(value) is not int or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    if bounded and value > MAX_TICKS:
+        raise ValidationError(f"{name} is out of range: at most 2**1000 ticks")
 
 
 @cache
@@ -373,6 +402,10 @@ class TemplateTable:
     ignored::
 
         <hazard>|<criticality>|<template-with-{location}-placeholder>
+
+    A template ``str.format`` cannot fill with ``location`` alone (another
+    field, ``{}``, an unbalanced brace), or one with no ``location`` field,
+    is refused when the table is parsed.
     """
 
     entries: Mapping[tuple[HazardCategory, Criticality], str]
@@ -409,7 +442,15 @@ class TemplateTable:
             template = parts[2].strip()
             if not template:
                 raise ConfigurationError(f"{source}:{line_no}: empty template")
-            if "{location}" not in template:
+            try:  # with every phrase, as compose_message will
+                for phrase in _LOCATION_PHRASE.values():
+                    template.format(location=phrase)
+            except (LookupError, AttributeError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{source}:{line_no}: template cannot be filled with {{location}} "
+                    f"alone: {type(exc).__name__}: {exc}"
+                ) from None
+            if "location" not in {field for _, field, _, _ in Formatter().parse(template)}:
                 raise ConfigurationError(
                     f"{source}:{line_no}: template must contain "
                     "the {location} placeholder"

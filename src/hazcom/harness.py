@@ -9,7 +9,7 @@ and configs produce byte-identical reports.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -91,12 +91,7 @@ class SuiteReport:
         for name in self.backend_names:
             result = self.results[name]
             backends[name] = {
-                "sub_metrics": {
-                    "eps_det": result.sub_metrics.eps_det,
-                    "eps_msg": result.sub_metrics.eps_msg,
-                    "eps_coord": result.sub_metrics.eps_coord,
-                    "eps_lat": result.sub_metrics.eps_lat,
-                },
+                "sub_metrics": asdict(result.sub_metrics),
                 "effectiveness": result.effectiveness,
                 "loss": {
                     "l_hazard": result.loss.l_hazard,
@@ -125,12 +120,7 @@ class SuiteReport:
                 "weights": list(self.config.weights),
                 "lambda": self.config.fatigue_lambda,
                 "suppression_window": self.config.suppression_window,
-                "timers": {
-                    "t_camera": self.config.timers.t_camera,
-                    "t_heatmap": self.config.timers.t_heatmap,
-                    "t_llm": self.config.timers.t_llm,
-                    "t_comm": self.config.timers.t_comm,
-                },
+                "timers": asdict(self.config.timers),
             },
             "scenarios": self.scenario_ids,
             "backends": backends,
@@ -143,10 +133,7 @@ class SuiteReport:
             result = self.results[name]
             rows.append({
                 "backend": name,
-                "eps_det": result.sub_metrics.eps_det,
-                "eps_msg": result.sub_metrics.eps_msg,
-                "eps_coord": result.sub_metrics.eps_coord,
-                "eps_lat": result.sub_metrics.eps_lat,
+                **asdict(result.sub_metrics),
                 "effectiveness": result.effectiveness,
                 "loss_total": result.loss.total,
                 "violations": len(result.violations),
@@ -184,14 +171,13 @@ class SuiteReport:
                     f"fallbacks={run.fallback_steps:<3d} "
                     f"accuracy={result.scenario_accuracy[scenario_id]:.4f}"
                 )
+        lines.append("")
         if self.total_violations:
-            lines.append("")
             lines.append("violations:")
             for name in self.backend_names:
                 for scenario_id, violation in self.results[name].violations:
                     lines.append(f"  {name} / {scenario_id} / {violation}")
         else:
-            lines.append("")
             lines.append("violations: none")
         return "\n".join(lines) + "\n"
 

@@ -19,7 +19,6 @@ the entity.  A verdict is shared and immutable.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -29,14 +28,19 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
-from .clock import Clock, ticks_to_seconds
-from .core import (
+from .clock import Clock
+from .core import (  # the backend errors are re-exported
+    BackendError,
+    BackendResponseError,
+    BackendTimeout,
+    BackendTransportError,
     Criticality,
     ContextFactors,
     CrowdDensity,
     EnvContext,
     Feasibility,
     HazardCategory,
+    InjectedFault,
     LocationType,
     POLICY,
     RiskScore,
@@ -48,26 +52,6 @@ from .core import (
     check_ticks,
     enum_from_label,
 )
-
-
-class BackendError(Exception):
-    """A backend failed to produce an assessment (never means "no hazard")."""
-
-
-class BackendTimeout(BackendError):
-    """The backend did not answer within its deadline."""
-
-
-class BackendTransportError(BackendError):
-    """The backend could not be reached or the transport failed mid-call."""
-
-
-class BackendResponseError(BackendError, ValidationError):
-    """The backend answered, but the response is malformed or invalid."""
-
-
-class InjectedFault(BackendError):
-    """Deliberate failure raised by the fault-injection wrapper."""
 
 
 #: Entries each perception memo keeps at most: a rule table's rules and the
@@ -577,44 +561,22 @@ Transport = Callable[[str, dict, int], dict]
 
 
 def http_transport(endpoint: str, request: dict, timeout_ticks: int) -> dict:
-    """Default transport: blocking JSON POST with a whole-exchange deadline.
-
-    The HTTP client (and with it ``socket``) loads on the first post and is
-    kept for the next.  Each endpoint is parsed, framed and checked once, and
-    a numeric host is connected without a lookup; a named host is resolved
-    on every post.
-    """
-    global _http
-    if _http is None:
-        from . import _http
-    try:
-        timeout_s = ticks_to_seconds(timeout_ticks)
-    except OverflowError:  # a tick count too large to convert to seconds
-        raise BackendTransportError(
-            "timeout is out of range: too many ticks to convert to seconds"
-        ) from None
-    try:
-        return _http.post_json(endpoint, request, timeout_s)
-    except TimeoutError as exc:
-        raise BackendTimeout(str(exc)) from exc
-    except ConnectionError as exc:
-        raise BackendTransportError(str(exc)) from exc
-    except ValueError as exc:
-        raise BackendResponseError(str(exc)) from exc
-
-
-_http = None  # the HTTP client module, loaded by the first post
+    """The default transport, ``_http.post_json``, by name; the HTTP client
+    (and with it ``socket``) loads on the first call."""
+    from . import _http
+    return _http.post_json(endpoint, request, timeout_ticks)
 
 
 class RemoteBackend:
     """Deadline-bounded remote assessment client.
 
-    The timeout must be positive and finite; without a custom ``transport``
-    it must also be one a socket can wait, and the endpoint an ``http://``
-    URL with a host the IDNA codec can encode.  Anything else raises
-    ConfigurationError here, not on each step.  A timeout, a transport
-    failure and a malformed response each raise their own error type from
-    :meth:`assess`; none is ever reported as "no hazard".
+    The timeout is a positive ``int`` tick count.  Without a custom
+    ``transport``, ``_http.check_limits`` decides once, here, that a post
+    can use the endpoint and the timeout, and ``_http.post_json`` is the
+    transport.  A bad value raises ConfigurationError here, not on each
+    step.  A timeout, a transport failure and a malformed response each
+    raise their own backend error from :meth:`assess`, from ``_http`` or the
+    decoder; none is ever reported as "no hazard".
     """
 
     def __init__(
@@ -623,21 +585,17 @@ class RemoteBackend:
         timeout_ticks: int = 200,
         transport: Transport | None = None,
     ) -> None:
-        if not 0 < timeout_ticks < math.inf:
-            raise ConfigurationError(f"timeout must be positive and finite, got {timeout_ticks}")
+        if type(timeout_ticks) is not int or timeout_ticks <= 0:
+            raise ConfigurationError(
+                f"timeout must be positive and an int tick count, got {timeout_ticks!r}")
         if transport is None:
             from . import _http
 
-            _http.parse_url(endpoint)
-            try:
-                _http.check_timeout(ticks_to_seconds(timeout_ticks))
-            except OverflowError:  # an int tick count too large for a float
-                raise ConfigurationError(
-                    "timeout is out of range: too many ticks to convert to seconds"
-                ) from None
+            _http.check_limits(endpoint, timeout_ticks)
+            transport = _http.post_json
         self.endpoint = endpoint
         self.timeout_ticks = timeout_ticks
-        self._transport = http_transport if transport is None else transport
+        self._transport = transport
 
     def assess(self, obs: Observation) -> Optional[HazardAssessment]:
         request = encode_observation(obs)

@@ -115,6 +115,20 @@ class TestRun:
         assert captured.err.startswith(f"error: {suite_path}: scenario {scenario}")
         assert captured.err.count("\n") == 1 and f"unknown=['{misspelt}']" in captured.err
 
+    def test_fault_delay_past_a_float_is_config_error(self, tmp_path, capsys):
+        # Loaded, S8's delay once stopped the run with a bare OverflowError (exit 1).
+        suite_path = tmp_path / "suite.json"
+        save_scenarios(suite_path, builtin_suite())
+        document = json.loads(suite_path.read_text())
+        document["scenarios"][7]["fault_profile"]["added_delay"] = 10**400
+        suite_path.write_text(json.dumps(document))
+        assert main(["run", "--scenarios", str(suite_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {suite_path}: scenario 7 (S8-degraded-backend): "
+                                "invalid fault profile: added_delay is out of range: "
+                                "at most 2**1000 ticks\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),
         ("--lambda", "nan"), ("--lambda", "inf"),

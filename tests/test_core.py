@@ -210,6 +210,31 @@ class TestTemplateTable:
         with pytest.raises(ConfigurationError, match="location"):
             TemplateTable.parse("Waste|Low|static text")
 
+    def test_parse_rejects_an_escaped_placeholder(self):
+        # "{{location}}" fills to the text "{location}", naming no place.
+        with pytest.raises(ConfigurationError, match="^t.txt:1: template must contain"):
+            TemplateTable.parse("Waste|Low|cleanup at the {{location}}", source="t.txt")
+
+    @pytest.mark.parametrize("template", [
+        "{oops} near the {location}",
+        "{} near the {location}",
+        "near the {location}: {location.x}",
+        "near the {location} {",
+        "near the {location} }",
+    ], ids=["unknown-name", "positional", "attribute", "unbalanced-open", "unbalanced-close"])
+    def test_parse_rejects_a_template_location_alone_cannot_fill(self, template):
+        # Parsed, the table would fail in compose_message on the first step
+        # that uses the template, with a bare KeyError, IndexError or
+        # AttributeError.
+        text = f"Waste|Low|cleanup at the {{location}}\nSharpObject|High|{template}\n"
+        with pytest.raises(ConfigurationError, match="^custom.txt:2: template cannot be filled"):
+            TemplateTable.parse(text, source="custom.txt")
+
+    def test_parse_accepts_what_location_alone_fills(self):
+        table = TemplateTable.parse("Waste|Low|{{note}} {location} {location!r:>12} {location[0]}")
+        assert compose_message(HazardCategory.WASTE, Criticality.LOW, corridor(), table) == (
+            "{note} corridor   'corridor' c")
+
     def test_parse_rejects_duplicates(self):
         text = "Waste|Low|a {location}\nWaste|Low|b {location}\n"
         with pytest.raises(ConfigurationError, match="duplicate"):

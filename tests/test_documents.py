@@ -1,14 +1,23 @@
 """The decoders of the request, response, truth and fault-profile documents
 are total: on a valid document mutated at any depth, each one returns or
-raises its own error type, never anything else."""
+raises its own error type, never anything else.  A scenario the decoder
+accepts runs to a report."""
 
 import copy
 import dataclasses
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazcom import ConfigurationError, ScriptedBackend
+from hazcom import (
+    ConfigurationError,
+    LocationBaselineBackend,
+    ObjectBaselineBackend,
+    ScriptedBackend,
+    run_suite,
+)
+from hazcom.core import MAX_TICKS
 from hazcom.perception import (
     BackendResponseError,
     FaultProfile,
@@ -27,6 +36,8 @@ _OBSERVATIONS = [obs for scenario in _SCENARIOS for obs in scenario.observations
 _REQUESTS = [encode_observation(obs) for obs in _OBSERVATIONS]
 _RESPONSES = [encode_assessment(ScriptedBackend().assess(obs)) for obs in _OBSERVATIONS]
 _SCENARIO_DOCS = [scenario_to_dict(scenario) for scenario in _SCENARIOS]
+_BACKENDS = {"scripted": ScriptedBackend(), "object": ObjectBaselineBackend(),
+             "location": LocationBaselineBackend()}
 
 
 def _containers(node):
@@ -77,6 +88,21 @@ def _mutated(draw, documents):
     return doc
 
 
+# Tick counts on both sides of the largest one, far past a float included.
+_TICKS = st.integers(0, MAX_TICKS) | st.integers(0, 10**400)
+
+
+@st.composite
+def _retimed(draw, documents):
+    """A copy of one of ``documents`` with a fault delay and every timestamp
+    drawn from ``_TICKS``."""
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    doc["fault_profile"] = dict(doc.get("fault_profile") or {}, added_delay=draw(_TICKS))
+    for step in doc["steps"]:
+        step["observation"]["timestamp"] = draw(_TICKS)
+    return doc
+
+
 class TestDecodersAreTotal:
     @settings(max_examples=300, deadline=None)
     @given(doc=_mutated(_REQUESTS))
@@ -101,6 +127,19 @@ class TestDecodersAreTotal:
             scenario_from_dict(doc, "scenario 0")
         except ConfigurationError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_mutated(_SCENARIO_DOCS) | _retimed(_SCENARIO_DOCS))
+    def test_an_accepted_scenario_runs_to_a_report(self, doc):
+        # Accepted means runnable: no value the decoder lets through (a tick
+        # count too large for a float, say) may stop the run or its report.
+        try:
+            scenario = scenario_from_dict(doc, "scenario 0")
+        except ConfigurationError:
+            return
+        report = run_suite([scenario], _BACKENDS)
+        json.dumps(report.to_json_dict(), allow_nan=False)
+        assert report.to_text()
 
     def test_the_valid_documents_decode(self):
         assert [decode_observation(doc) for doc in _REQUESTS] == _OBSERVATIONS

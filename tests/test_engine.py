@@ -23,11 +23,13 @@ from hazcom import (
     fallback_output,
     oracle_verify,
     read_trace,
+    run_suite,
     write_trace,
 )
 from hazcom.clock import VirtualClock, WallClock, seconds_to_ticks, ticks_to_seconds
-from hazcom.core import POLICY, EnvContext
+from hazcom.core import MAX_TICKS, POLICY, EnvContext
 from hazcom.engine import _stage_timers
+from hazcom.scenarios import builtin_suite
 from hazcom.perception import (
     BackendError,
     FaultProfile,
@@ -163,6 +165,14 @@ class TestEngineConfigTickCounts:
         ("suppression_window", False,
          "suppression_window must be a non-negative integer, got False"),
         ("suppression_window", -1, "suppression_window must be a non-negative integer, got -1"),
+        # Past a float: once latency_compliance raised a bare OverflowError.
+        pytest.param("t_max", 10**400, "t_max is out of range: at most 2**1000 ticks",
+                     id="t_max-10**400"),
+        pytest.param("timers", StageTimers(t_llm=10**400),
+                     "timers total is out of range: at most 2**1000 ticks", id="timers-10**400"),
+        pytest.param("suppression_window", MAX_TICKS + 1,
+                     "suppression_window is out of range: at most 2**1000 ticks",
+                     id="suppression_window-past-the-largest"),
     ])
     def test_non_tick_count_rejected(self, field, value, message):
         with pytest.raises(ValidationError) as excinfo:
@@ -172,6 +182,20 @@ class TestEngineConfigTickCounts:
     def test_smallest_tick_counts_accepted(self):
         config = EngineConfig(t_max=1, suppression_window=0)
         assert (config.t_max, config.suppression_window) == (1, 0)
+
+    def test_largest_fault_delay_is_measured_past_the_largest_count(self, s1_obs):
+        # A measured stage sums the nominal t_llm and the delay, each bounded.
+        engine = Engine()
+        backend = FaultInjectingBackend(ScriptedBackend(), FaultProfile(added_delay=MAX_TICKS),
+                                        engine.clock)
+        result = engine.step(s1_obs, backend)
+        assert result.timers.t_llm == 95 + MAX_TICKS
+        assert result.fallback_used and result.record.t_total == 120 + MAX_TICKS
+
+    def test_largest_tick_counts_score(self):
+        config = EngineConfig(t_max=MAX_TICKS, suppression_window=MAX_TICKS)
+        report = run_suite(builtin_suite(), {"scripted": ScriptedBackend()}, config)
+        assert report.results["scripted"].sub_metrics.eps_lat == 1.0
 
 
 class TestStep:

@@ -405,6 +405,10 @@ class TestFaultInjection:
         with pytest.raises(ValidationError, match="added_delay must be a non-negative integer"):
             FaultProfile(added_delay=delay)
 
+    def test_delay_past_a_float_rejected(self):
+        with pytest.raises(ValidationError, match="added_delay is out of range"):
+            FaultProfile(added_delay=10**400)
+
     @pytest.mark.parametrize("rate", [
         "0.5", None, True, False, math.nan, 1.5, -0.1, pytest.param(10**400, id="10**400"),
     ])

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hazcom import (
+    BackendError,
     BackendResponseError,
     BackendTimeout,
     BackendTransportError,
@@ -594,7 +595,7 @@ class TestRequestBytes:
         sock = _RecordingSocket()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_http, "_connect", lambda addresses, deadline: sock)
-            _http.post_json("http://127.0.0.1:9/assess", encode_observation(obs), 5.0)
+            _http.post_json("http://127.0.0.1:9/assess", encode_observation(obs), 50)
         head, _, body = bytes(sock.sent).partition(b"\r\n\r\n")
         assert body == json.dumps(encode_observation(obs)).encode("utf-8")
         assert b"\r\nContent-Length: %d\r\n" % len(body) in head
@@ -679,10 +680,27 @@ class TestEndpointValidation:
                                 transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
 
-    @pytest.mark.parametrize("timeout_s", [threading.TIMEOUT_MAX, 1e11, math.inf, math.nan])
-    def test_check_timeout_refuses_what_a_socket_cannot_wait(self, timeout_s):
-        with pytest.raises(ConfigurationError, match="out of range"):
-            _http.check_timeout(timeout_s)
+    @pytest.mark.parametrize("url, ticks, message", [
+        ("http://127.0.0.1:9/assess", math.ceil(threading.TIMEOUT_MAX * TICKS_PER_SECOND),
+         "out of range"),
+        ("http://127.0.0.1:9/assess", 10**12, "out of range"),
+        ("http://127.0.0.1:9/assess", 10**400, "timeout is out of range"),
+        ("127.0.0.1:9/assess", 10, "must be an http://"),
+    ], ids=["socket-range", "1e11-s", "past-a-float", "no-scheme"])
+    def test_check_limits_refuses_what_no_post_can_use(self, url, ticks, message):
+        with pytest.raises(ConfigurationError, match=message):
+            _http.check_limits(url, ticks)
+
+    def test_check_limits_gives_the_endpoint_and_the_seconds(self):
+        url = "http://127.0.0.1:9/assess"
+        assert _http.check_limits(url, 25) == (_http.parse_url(url), 2.5)
+
+    @pytest.mark.parametrize("timeout", [True, 2.5, 200.0, "200"])
+    @pytest.mark.parametrize("transport", [None, lambda *args: VALID_RESPONSE])
+    def test_timeout_that_is_not_an_int_rejected_when_built(self, timeout, transport):
+        # A tick count here is checked as every other tick count is.
+        with pytest.raises(ConfigurationError, match="timeout must be positive"):
+            RemoteBackend("http://127.0.0.1:9/assess", timeout_ticks=timeout, transport=transport)
 
     def test_largest_socket_timeout_accepted_when_built(self):
         ticks = math.ceil(threading.TIMEOUT_MAX * TICKS_PER_SECOND) - 1
@@ -709,6 +727,53 @@ class TestEndpointValidation:
     def test_custom_transport_takes_any_endpoint(self, s1_obs):
         backend = RemoteBackend("stub://model", transport=lambda *args: VALID_RESPONSE)
         assert backend.assess(s1_obs).category is HazardCategory.SHARP_OBJECT
+
+
+class TestPostJsonErrors:
+    """``_http.post_json`` raises each failure as exactly its backend error,
+    naming the URL; nothing between it and the backend maps them again."""
+
+    @staticmethod
+    def post(url, ticks=50):
+        return _http.post_json(url, {"caption": "x"}, ticks)
+
+    def test_slow_drip_is_a_timeout(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "drip_s", 0.2)
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server, ticks=5)
+        assert type(caught.value) is BackendTimeout
+        assert stub_server in str(caught.value)
+
+    def test_refused_port_is_a_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/assess"
+        with pytest.raises(BackendError) as caught:  # the port is closed again
+            self.post(url)
+        assert type(caught.value) is BackendTransportError
+        assert url in str(caught.value)
+
+    def test_http_500_is_a_transport_error(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "raw_reply",
+                            b"HTTP/1.0 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n")
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server)
+        assert type(caught.value) is BackendTransportError
+        assert str(caught.value) == f"HTTP 500 from {stub_server}"
+
+    def test_oversized_reply_is_a_response_error(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "response_doc",
+                            dict(VALID_RESPONSE, rationale="x" * (2 << 20)))
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server)
+        assert type(caught.value) is BackendResponseError
+        assert stub_server in str(caught.value) and "exceeds" in str(caught.value)
+
+    def test_non_json_body_is_a_response_error(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "raw_body", b"not json")
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server)
+        assert type(caught.value) is BackendResponseError
+        assert str(caught.value).startswith(f"non-JSON response from {stub_server}: ")
 
 
 def test_import_loads_no_http_client_library():
