@@ -105,7 +105,8 @@ def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
     naming ``url``: BackendTimeout when the deadline passes,
     BackendTransportError on refused limits, an unreachable host, a status
     outside 2xx or a reply that breaks HTTP framing, and BackendResponseError
-    on an oversized reply or a body that is not a JSON object.
+    on an oversized reply, a body that is not a JSON object or one holding an
+    integer too long to convert.
     """
     try:
         endpoint, timeout_s = check_limits(url, timeout_ticks)
@@ -141,6 +142,8 @@ def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
         document = json.loads(reply[len(head) + 4:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BackendResponseError(f"non-JSON response from {url}: {exc}") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise BackendResponseError(f"unreadable JSON response from {url}: {exc}") from exc
     if not isinstance(document, dict):
         raise BackendResponseError(f"expected a JSON object from {url}")
     return document

@@ -41,18 +41,34 @@ def _memory_detail(character: str, text: str) -> str:
     return f"{character}: {text}"
 
 
+#: Most delivery records the memory sinks keep for sharing.  A suite's
+#: deliveries repeat a few hundred to about a thousand distinct values
+#: (channel, tick, detail), so the memo holds them all with room to spare.
+DELIVERY_MEMO_SIZE = 4096
+
+# (channel, tick, detail) -> the one record of that successful delivery.
+# The memo starts over when full.
+_records: dict[tuple[Channel, int, str], DeliveryRecord] = {}
+
+
 @dataclass(frozen=True)
 class MemorySink:
     """In-memory sink: always succeeds and keeps nothing, so one sink can
-    serve any number of runs."""
+    serve any number of runs.  Its records are shared: deliveries equal in
+    channel, tick and detail return one immutable record."""
 
     channel: Channel
 
     def deliver(self, output: CommOutput, tick: int) -> DeliveryRecord:
         message = output.message
-        return DeliveryRecord(
-            self.channel, tick, True, _memory_detail(message.character._value_, message.text)
-        )
+        detail = _memory_detail(message.character._value_, message.text)
+        key = (self.channel, tick, detail)
+        record = _records.get(key)
+        if record is None:
+            if len(_records) >= DELIVERY_MEMO_SIZE:
+                _records.clear()
+            record = _records[key] = DeliveryRecord(self.channel, tick, True, detail)
+        return record
 
 
 SinkRegistry = Mapping[Channel, ChannelSink]

@@ -40,15 +40,17 @@ REPORT_FORMAT = "hazcom-report-v1"
 _SINKS = memory_registry()
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioRun:
-    """Trace, its wire form and deliveries of one backend on one scenario."""
+    """Trace, its wire form and deliveries of one backend on one scenario,
+    each a tuple with one item per step."""
 
-    trace: list[TraceRecord]
+    trace: tuple[TraceRecord, ...]
     #: ``record.to_wire()`` of each trace record, built once: the oracle
     #: checks these dicts and the structured report holds them.
-    wire: list[dict]
-    deliveries: list[list[DeliveryRecord]]
+    wire: tuple[dict, ...]
+    #: Each step's delivery records, ``()`` for a step with no output.
+    deliveries: tuple[tuple[DeliveryRecord, ...], ...]
 
     @property
     def fallback_steps(self) -> int:
@@ -83,8 +85,8 @@ class SuiteReport:
     def to_json_dict(self) -> dict:
         """The structured report as JSON-ready values.
 
-        Each scenario's list under ``"traces"`` is its run's ``wire`` list
-        itself, not a copy: the returned dict shares those lists and dicts
+        Each scenario's array under ``"traces"`` is its run's ``wire`` tuple
+        itself, not a copy: the returned dict shares those tuples and dicts
         with the report.
         """
         backends = {}
@@ -192,15 +194,15 @@ def run_scenario(scenario: Scenario, backend: Backend, engine: Engine) -> Scenar
         backend = FaultInjectingBackend(backend, scenario.fault_profile, clock)
     trace: list[TraceRecord] = []
     wire: list[dict] = []
-    deliveries: list[list[DeliveryRecord]] = []
+    deliveries: list[tuple[DeliveryRecord, ...]] = []
     step, pop, prefix = engine.step, engine.queue.pop, scenario.scenario_id
     for index, obs in enumerate(scenario.observations):
         output, _, _, record = step(obs, backend, f"{prefix}:{index}")
         trace.append(record)
         wire.append(record.to_wire())
         # A step enqueues at most its one output, and each step drains the queue.
-        deliveries.append([] if output is None else dispatch(pop(), _SINKS, clock.now))
-    return ScenarioRun(trace, wire, deliveries)
+        deliveries.append(() if output is None else tuple(dispatch(pop(), _SINKS, clock.now)))
+    return ScenarioRun(tuple(trace), tuple(wire), tuple(deliveries))
 
 
 def run_suite(
@@ -232,7 +234,7 @@ def run_suite(
         all_trace: list[TraceRecord] = []
         all_wire: list[dict] = []
         all_truth: list[Optional[StepTruth]] = []
-        all_deliveries: list[list[DeliveryRecord]] = []
+        all_deliveries: list[tuple[DeliveryRecord, ...]] = []
         l_hazard = 0.0
         l_fatigue = 0.0
         for scenario in scenarios:

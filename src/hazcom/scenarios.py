@@ -729,6 +729,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
         raise ConfigurationError(f"{path}: not valid JSON: nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ConfigurationError(f"{path}: unreadable JSON: {exc}") from exc
     _check_document(document, _FILE_FIELDS, f"{SCENARIO_FORMAT!r} document", str(path))
     if document["format"] != SCENARIO_FORMAT:
         raise ConfigurationError(f"{path}: expected a {SCENARIO_FORMAT!r} document")

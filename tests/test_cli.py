@@ -129,6 +129,18 @@ class TestRun:
                                 "invalid fault profile: added_delay is out of range: "
                                 "at most 2**1000 ticks\n")
 
+    def test_fault_delay_too_long_to_read_is_config_error(self, tmp_path, capsys):
+        # A 5,001-digit delay once stopped the run with json's bare ValueError (exit 1).
+        suite_path = tmp_path / "suite.json"
+        save_scenarios(suite_path, builtin_suite())
+        text = suite_path.read_text()
+        suite_path.write_text(text.replace('"added_delay": 250', '"added_delay": ' + "9" * 5001))
+        assert main(["run", "--scenarios", str(suite_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {suite_path}: unreadable JSON: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),
         ("--lambda", "nan"), ("--lambda", "inf"),

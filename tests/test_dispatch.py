@@ -15,7 +15,7 @@ from hazcom import (
     recipients_for,
 )
 from hazcom.core import policy_output
-from hazcom.dispatch import DeliveryRecord
+from hazcom.dispatch import DELIVERY_MEMO_SIZE, DeliveryRecord, _records
 
 
 def output_for(rho, category=HazardCategory.SHARP_OBJECT):
@@ -122,3 +122,26 @@ class TestMemorySink:
         assert first.detail == f"alert: {output.message.text}"
         assert first.detail is second.detail
 
+    def test_records_are_shared_per_channel_tick_and_detail(self):
+        _records.clear()  # so that no start-over falls between two deliveries
+        output = output_for(6.0)
+        detail = f"alert: {output.message.text}"
+        records = {(channel, tick): MemorySink(channel).deliver(output, tick)
+                   for channel in Channel for tick in (1, 2)}
+        for (channel, tick), record in records.items():
+            assert record == (channel, tick, True, detail)
+            assert MemorySink(channel).deliver(output_for(6.0), tick) is record
+
+    def test_memo_stays_within_its_bound_and_records_stay_exact(self):
+        output = output_for(9.0)
+        detail = f"urgent: {output.message.text}"
+        sink = MemorySink(Channel.COORDINATION)
+        ticks = range(10**6, 10**6 + 2 * DELIVERY_MEMO_SIZE + 100)
+        sizes = set()
+        for tick in ticks:
+            assert sink.deliver(output, tick) == (Channel.COORDINATION, tick, True, detail)
+            sizes.add(len(_records))
+        # The memo filled up, started over, and never held more than its bound.
+        assert max(sizes) == DELIVERY_MEMO_SIZE and min(sizes) == 1
+        assert sink.deliver(output, ticks[-1]) is sink.deliver(output, ticks[-1])
+        assert sink.deliver(output, ticks[0]) == (Channel.COORDINATION, ticks[0], True, detail)

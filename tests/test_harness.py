@@ -32,6 +32,7 @@ from hazcom import (
 from hazcom.clock import seconds_to_ticks
 from hazcom.cli import EXIT_VIOLATION, main
 from hazcom.core import MessageTuple, RiskScore, band_risk, location_phrase
+from hazcom.dispatch import _records
 from hazcom.engine import read_trace, write_trace
 from hazcom.harness import run_scenario
 from hazcom.metrics import objective_loss
@@ -271,6 +272,18 @@ class TestScenarioFiles:
         path.write_text("[" * 200_000, encoding="utf-8")
         with pytest.raises(ConfigurationError, match="nested too deeply"):
             load_scenarios(path)
+
+    def test_integer_too_long_to_read_is_a_configuration_error(self, tmp_path):
+        # json.loads refuses integers past 4,300 digits with a plain ValueError.
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"added_delay": 250', '"added_delay": ' + "9" * 5001),
+                        encoding="utf-8")
+        with pytest.raises(ConfigurationError) as caught:
+            load_scenarios(path)
+        assert str(caught.value).startswith(f"{path}: unreadable JSON: ")
+        assert "5001 digits" in str(caught.value)
 
     @pytest.mark.parametrize("index, change, message", [
         (0, {"id": 5}, "scenario 0: 'id' must be a string, got 5"),
@@ -609,7 +622,7 @@ class TestRunSuite:
         run = run_scenario(builtin_suite()[0], ScriptedBackend(), Engine())
         for record, group in zip(run.trace, run.deliveries):
             if record.criticality is None:
-                assert group == []
+                assert not group
             else:
                 assert {r.channel for r in group} == recipients_for(record.criticality)
 
@@ -709,6 +722,33 @@ class TestRunSuite:
         text = report.to_text()
         assert "scripted" in text
         assert "violations: none" in text
+
+
+class TestRunsHoldOneObjectPerValue:
+    """A suite's runs keep each repeated delivery once, in exact-size tuples."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        _records.clear()  # so that the memo does not start over inside the run
+        return run_suite(generate(0, 200), local_backends())
+
+    def test_equal_delivery_records_are_one_object(self, report):
+        shared, deliveries = {}, 0
+        for result in report.results.values():
+            for run in result.runs.values():
+                for group in run.deliveries:
+                    for record in group:
+                        assert shared.setdefault(record, record) is record
+                        deliveries += 1
+        assert 0 < len(shared) < deliveries
+
+    def test_every_run_field_is_a_tuple(self, report):
+        for result in report.results.values():
+            for run in result.runs.values():
+                assert not hasattr(run, "__dict__")
+                assert type(run.trace) is type(run.wire) is type(run.deliveries) is tuple
+                assert all(type(group) is tuple for group in run.deliveries)
+                assert len(run.trace) == len(run.wire) == len(run.deliveries)
 
 
 _FAULT_PROFILES = st.one_of(

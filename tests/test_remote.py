@@ -775,6 +775,13 @@ class TestPostJsonErrors:
         assert type(caught.value) is BackendResponseError
         assert str(caught.value).startswith(f"non-JSON response from {stub_server}: ")
 
+    def test_integer_too_long_to_read_is_a_response_error(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_StubHandler, "raw_body", b'{"score": ' + b"9" * 5001 + b"}")
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server)
+        assert type(caught.value) is BackendResponseError
+        assert str(caught.value).startswith(f"unreadable JSON response from {stub_server}: ")
+
 
 def test_import_loads_no_http_client_library():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["hazcom"].__file__)))
