@@ -8,8 +8,9 @@ old text must occur there exactly once.  For each mutant the script copies
 ``src/`` to a temporary directory, applies the mutant to the copy and runs
 the mutant's tests against it with ``-x``: a test module, or a class or
 test in one, as pytest names them.  On a shared 2-vCPU machine (Python
-3.11) 82 to 84 mutants took 3 min 7 s to 5 min 20 s, where running the
-whole test suite per mutant took about three minutes for the first 17.
+3.11) 82 to 91 mutants took 3 min 7 s to 5 min 20 s (91: 4 min 24 s and
+5 min 10 s), where running the whole test suite per mutant took about
+three minutes for the first 17.
 The golden-digest tests are deselected: a digest fails on almost any
 change, and a re-pin regenerates it on purpose, so a mutant counts as
 killed only by a test that names the behaviour it broke.
@@ -66,6 +67,9 @@ _PLAIN = (_GENERATE + "::test_equals_the_plain_generator",)
 _INDEX = "tests/test_harness.py::TestWeightedDraw::test_index_draw_is_choice_and_randint"
 _DELIVERY_MEMO = ("tests/test_dispatch.py::TestMemorySink::"
                   "test_records_are_shared_per_channel_tick_and_detail",)
+_LONG_TRACE_INT = ("tests/test_trace_codec.py::TestStrictWhitespace::"
+                   "test_integer_longer_than_python_reads_is_not_json",)
+_INTAKES = "tests/test_documents.py::TestIntakesAreTotal::"
 
 MUTANTS = (
     Mutant("memo key drops the label", "perception.py",
@@ -161,6 +165,28 @@ MUTANTS = (
            "if bounded and value > MAX_TICKS:", "if False:",
            ("tests/test_engine.py::TestEngineConfigTickCounts",
             "tests/test_cli.py::TestRun::test_fault_delay_past_a_float_is_config_error")),
+    Mutant("JSON intake lets an over-long integer out", "core.py",
+           "except (ValueError, RecursionError) as exc:",
+           "except (json.JSONDecodeError, RecursionError) as exc:",
+           ("tests/test_core.py::TestParseJson",)),
+    Mutant("scenario file read past the JSON intake", "scenarios.py",
+           "document = parse_json(text, str(path), ConfigurationError)",
+           "document = json.loads(text)",
+           ("tests/test_harness.py::TestScenarioFiles::"
+            "test_integer_too_long_to_read_is_a_configuration_error",
+            _INTAKES + "test_run_on_a_mutated_scenario_file_ends_in_an_exit_code")),
+    Mutant("trace line read past the JSON intake", "engine.py",
+           "TraceRecord.from_wire(parse_json(line, where, ValidationError), where)",
+           "TraceRecord.from_wire(json.loads(line), where)", _LONG_TRACE_INT),
+    Mutant("verify's line read past the JSON intake", "engine.py",
+           "yield where, parse_json(line, where, ValidationError)",
+           "yield where, json.loads(line)",
+           _LONG_TRACE_INT + (_INTAKES + "test_verify_on_a_mutated_trace_ends_in_an_exit_code",)),
+    Mutant("remote reply read past the JSON intake", "_http.py",
+           'parse_json(reply[len(head) + 4:end], f"response from {url}", BackendResponseError)',
+           "json.loads(reply[len(head) + 4:end])",
+           ("tests/test_remote.py::TestPostJsonErrors::test_utf16_body_is_a_response_error",
+            _INTAKES + "test_a_reply_is_an_object_or_one_of_two_errors")),
     Mutant("unknown template placeholder accepted", "core.py",
            "except (LookupError, AttributeError, TypeError, ValueError) as exc:",
            "except (AttributeError, TypeError, ValueError) as exc:",
@@ -217,6 +243,9 @@ MUTANTS = (
     Mutant("Medium routes to nearby alone", "core.py",
            "True, CHANNEL_ORDER[:2]),", "True, CHANNEL_ORDER[:1]),",
            (_POLICY + "test_recipient_sets",)),
+    Mutant("Medium routes to remote before nearby", "core.py",
+           "True, CHANNEL_ORDER[:2]),", "True, CHANNEL_ORDER[1::-1]),",
+           (_POLICY + "test_recipients_in_order_are_the_sets_in_channel_order",)),
     Mutant("tone 10.0 outside the High band", "core.py",
            "RISK_MIN <= tone <= RISK_MAX", "RISK_MIN <= tone < RISK_MAX",
            ("tests/test_core.py::TestTone::test_top_of_scale_in_high_band",)),
@@ -238,6 +267,11 @@ MUTANTS = (
            "output.recipients, t_total,", "tuple(Channel), t_total,",
            ("tests/test_engine.py::TestStep::test_assembled_record_keeps_the_outputs_recipients",
             "tests/test_engine.py::TestStep::test_fallback_record_keeps_the_outputs_recipients")),
+    Mutant("High fallback alert drops the alarm", "engine.py",
+           '"the area as hazardous and keep clear; alarm activated and "',
+           '"the area as hazardous and keep clear; "',
+           ("tests/test_engine.py::TestStep::"
+            "test_fallback_text_mentions_the_alarm_exactly_when_it_sounds",)),
     Mutant("cold-start fallback grades High", "engine.py",
            "else Criticality.MEDIUM", "else Criticality.HIGH",
            ("tests/test_engine.py::TestStep::test_fallback_cold_start_is_medium",)),

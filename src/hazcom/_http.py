@@ -20,7 +20,8 @@ from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .clock import TICKS_PER_SECOND, ticks_to_seconds
-from .core import BackendResponseError, BackendTimeout, BackendTransportError, ConfigurationError
+from .core import (BackendResponseError, BackendTimeout, BackendTransportError,
+                   ConfigurationError, parse_json)
 
 MAX_REPLY_BYTES = 1 << 20
 _ENDPOINTS_KEPT = 32  # parsed URLs kept; a process posts to a handful
@@ -101,12 +102,10 @@ def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
     its request head framed and its host checked on the first post to it
     only.  A numeric host is connected without a lookup; a named host is
     resolved on every post.  ``timeout_ticks`` bounds the whole exchange
-    (that blocking name lookup aside).  Each failure raises its backend error,
-    naming ``url``: BackendTimeout when the deadline passes,
-    BackendTransportError on refused limits, an unreachable host, a status
-    outside 2xx or a reply that breaks HTTP framing, and BackendResponseError
-    on an oversized reply, a body that is not a JSON object or one holding an
-    integer too long to convert.
+    (that blocking name lookup aside).  A failure raises its backend error,
+    naming ``url``: BackendTimeout past the deadline, BackendTransportError on
+    refused limits or an unreachable host, BackendResponseError on an oversized
+    reply, and :func:`parse_reply`'s on the reply.
     """
     try:
         endpoint, timeout_s = check_limits(url, timeout_ticks)
@@ -126,6 +125,13 @@ def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
         raise BackendTimeout(f"no response from {url} within {timeout_s}s") from exc
     except OSError as exc:
         raise BackendTransportError(f"cannot reach {url}: {exc}") from exc
+    return parse_reply(reply, end, url)
+
+
+def parse_reply(reply: bytes, end: int | None, url: str) -> dict:
+    """The JSON object ``reply`` from ``url`` carries, its end declared at ``end``
+    (None without a Content-Length); else BackendTransportError for broken
+    HTTP framing or a status outside 2xx, BackendResponseError for the body."""
     head, separator, _ = reply.partition(b"\r\n\r\n")
     status = _STATUS_LINE.match(head)
     if not separator or status is None:
@@ -138,12 +144,7 @@ def post_json(url: str, document: dict, timeout_ticks: int) -> dict:
             f"bad reply from {url}: body {end - len(reply)} bytes short")
     if not status[1].startswith(b"2"):
         raise BackendTransportError(f"HTTP {int(status[1])} from {url}")
-    try:
-        document = json.loads(reply[len(head) + 4:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise BackendResponseError(f"non-JSON response from {url}: {exc}") from exc
-    except ValueError as exc:  # an integer too long to convert
-        raise BackendResponseError(f"unreadable JSON response from {url}: {exc}") from exc
+    document = parse_json(reply[len(head) + 4:end], f"response from {url}", BackendResponseError)
     if not isinstance(document, dict):
         raise BackendResponseError(f"expected a JSON object from {url}")
     return document

@@ -11,6 +11,7 @@ Assembled outputs are memoized and shared between callers; they are immutable.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -76,6 +77,16 @@ def check_fields(doc: object, fields: FieldTable, what: str,
         if key in doc and type(doc[key]) not in types:
             raise error(f"{key!r} must be {name}, got {doc[key]!r}")
     return doc
+
+
+def parse_json(text: str | bytes, where: str, error: Type[Exception]) -> object:
+    """The value of the JSON ``text``, bytes read as strict UTF-8 (``json.loads``
+    takes UTF-16 and UTF-32 too); a ValueError (bad syntax or UTF-8, an integer
+    past int()'s digit limit) or RecursionError is ``error("<where>: not JSON: …")``."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not JSON: {exc}") from exc
 
 
 #: The largest tick count read, far past any delay: a step's stages, each a

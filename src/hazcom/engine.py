@@ -40,6 +40,7 @@ from .core import (
     check_ticks,
     enum_from_label,
     members_by_label,
+    parse_json,
     policy_output,
 )
 from .perception import Backend, Observation
@@ -302,24 +303,15 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _document(line: str, where: str) -> object:
-    """``json.loads(line)``, or :class:`ValidationError` naming ``where``: json
-    raises ValueError for an integer of more digits than int() converts, too."""
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{where}: not JSON: {exc}") from exc
-
-
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """Yield ``("<path>:<line>", document)`` for each non-blank line; an
     unreadable file, bytes that are not UTF-8 and a line that is not JSON
-    (as ``json.loads`` has it: only JSON's own whitespace is stripped) each
-    raise :class:`ValidationError` naming the path."""
+    (as :func:`core.parse_json` has it: only JSON's own whitespace is
+    stripped) each raise :class:`ValidationError` naming the path."""
     prefix = f"{path}:"
     for line_no, line in _lines(path):
         where = f"{prefix}{line_no}"
-        yield where, _document(line, where)
+        yield where, parse_json(line, where, ValidationError)
 
 
 # The reader's side of the fragment cache.  A line is cut at its per-step
@@ -381,8 +373,8 @@ def _learn(record: TraceRecord) -> None:
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """Parse a trace log written by :func:`write_trace`: each line gives the
-    record, or the :class:`ValidationError`, that ``json.loads`` and
-    :meth:`TraceRecord.from_wire` give.
+    record, or the :class:`ValidationError` naming ``<path>:<line>``, that
+    :func:`core.parse_json` and :meth:`TraceRecord.from_wire` give.
 
     A line the writer built from fragments is recognised by its shape, the
     text around its tick, obs_id, rho and gamma, and decoded from the fields
@@ -390,7 +382,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     ``from_wire`` decodes keeps the shape of the writer's line for its
     fields (at most 1,024 shapes).  Any other line, or one whose per-step
     values are not written exactly as the writer writes them, goes through
-    ``json.loads`` and ``from_wire``.
+    ``parse_json`` and ``from_wire``.
     """
     records: list[TraceRecord] = []
     append, shapes = records.append, _SHAPES
@@ -416,7 +408,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                     append(record)
                     continue
         where = f"{prefix}{line_no}"
-        record = TraceRecord.from_wire(_document(line, where), where)
+        record = TraceRecord.from_wire(parse_json(line, where, ValidationError), where)
         _learn(record)
         append(record)
     return records

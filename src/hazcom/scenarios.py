@@ -39,6 +39,7 @@ from .core import (
     check_fields,
     enum_from_label,
     location_phrase,
+    parse_json,
 )
 from .perception import (
     BackendResponseError,
@@ -678,6 +679,10 @@ def _check_document(doc: object, fields: FieldTable, what: str, where: str) -> d
 
 def scenario_from_dict(doc: dict, where: str) -> Scenario:
     scenario_id = _check_document(doc, _SCENARIO_FIELDS, "scenario", where)["id"]
+    try:  # JSON's \ud800 escape spells a lone surrogate, which UTF-8 cannot encode
+        scenario_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigurationError(f"{where}: 'id' must be UTF-8 text, got {scenario_id!r}") from exc
     profile = None
     if doc.get("fault_profile") is not None:
         try:
@@ -718,19 +723,14 @@ def save_scenarios(path: str | Path, scenarios: Sequence[Scenario]) -> None:
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
+    """The scenarios of the file at ``path``; a fault is a ConfigurationError
+    naming the file (``<path>: not JSON: …`` from :func:`core.parse_json`)."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}:{exc.lineno}: not valid JSON: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ConfigurationError(f"{path}: not valid JSON: nested too deeply") from exc
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # an integer too long to convert
-        raise ConfigurationError(f"{path}: unreadable JSON: {exc}") from exc
+    document = parse_json(text, str(path), ConfigurationError)
     _check_document(document, _FILE_FIELDS, f"{SCENARIO_FORMAT!r} document", str(path))
     if document["format"] != SCENARIO_FORMAT:
         raise ConfigurationError(f"{path}: expected a {SCENARIO_FORMAT!r} document")

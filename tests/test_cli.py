@@ -138,8 +138,24 @@ class TestRun:
         assert main(["run", "--scenarios", str(suite_path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {suite_path}: unreadable JSON: ")
+        assert captured.err.startswith(f"error: {suite_path}: not JSON: ")
         assert captured.err.count("\n") == 1
+
+    def test_id_with_a_lone_surrogate_is_config_error(self, tmp_path, capsys):
+        # Such an id once stopped the run with UnicodeEncodeError as the text
+        # report was written (exit 1).  --report, as the capture may not fail
+        # on stdout the way a terminal does.
+        suite_path, report = tmp_path / "suite.json", tmp_path / "report.txt"
+        save_scenarios(suite_path, builtin_suite())
+        text = suite_path.read_text(encoding="utf-8")
+        suite_path.write_text(text.replace('"S1-knife-unsafe-area"', '"bad\\ud800id"'),
+                              encoding="utf-8")
+        code = main(["run", "--scenarios", str(suite_path), "--report", str(report)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {suite_path}: scenario 0: 'id' must be UTF-8 text, got 'bad\\ud800id'\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "1e400"),

@@ -1,6 +1,8 @@
 import copy
+import json
 import math
 import pickle
+import sys
 from enum import Enum
 
 import pytest
@@ -36,6 +38,7 @@ from hazcom.core import (
     _assembled,
     builtin_templates,
     enum_from_label,
+    parse_json,
     tone_in_band,
 )
 
@@ -391,6 +394,37 @@ class TestEnumFromLabel:
         assert str(info.value) == (
             f"unknown Criticality {shown}; expected one of: Low, Medium, High"
         )
+
+
+class TestParseJson:
+    def test_text_and_utf8_bytes_parse(self):
+        for text in ('{"a": [1, 2.5, null]}', b'{"a": [1, 2.5, null]}',
+                     bytearray(b'{"a": [1, 2.5, null]}')):
+            assert parse_json(text, "doc", ValidationError) == {"a": [1, 2.5, None]}
+
+    @pytest.mark.parametrize("text, reason, cause", [
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+         json.JSONDecodeError),
+        ("[" * 200_000, "", RecursionError),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0", UnicodeDecodeError),
+        # json.loads would read these as UTF-16 and UTF-32.
+        ('{"a": 1}'.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0",
+         UnicodeDecodeError),
+        ('{"a": 1}'.encode("utf-32-le"), "Expecting property name enclosed in double quotes",
+         json.JSONDecodeError),
+    ], ids=["syntax", "nesting", "not-utf8", "utf16", "utf32"])
+    def test_each_failure_is_the_error_naming_where(self, text, reason, cause):
+        with pytest.raises(ConfigurationError) as caught:
+            parse_json(text, "f.json", ConfigurationError)
+        assert str(caught.value).startswith(f"f.json: not JSON: {reason}")
+        assert isinstance(caught.value.__cause__, cause)
+
+    def test_integer_too_long_to_convert_is_the_error(self):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for it.
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length")
+        with pytest.raises(ValidationError, match="^t.jsonl:3: not JSON: Exceeds the limit"):
+            parse_json('{"tick": ' + "9" * 5001 + "}", "t.jsonl:3", ValidationError)
 
 
 def core_enums():

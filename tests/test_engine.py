@@ -27,7 +27,7 @@ from hazcom import (
     write_trace,
 )
 from hazcom.clock import VirtualClock, WallClock, seconds_to_ticks, ticks_to_seconds
-from hazcom.core import MAX_TICKS, POLICY, EnvContext
+from hazcom.core import MAX_TICKS, POLICY, EnvContext, alarm_for
 from hazcom.engine import _stage_timers
 from hazcom.scenarios import builtin_suite
 from hazcom.perception import (
@@ -293,6 +293,13 @@ class TestStep:
             output = fallback_output(grade)
             assert output.alarm == (output.criticality is not Criticality.LOW)
             assert output.recipients == POLICY[output.criticality].recipients
+
+    def test_fallback_text_mentions_the_alarm_exactly_when_it_sounds(self):
+        # The pre-formulated alerts are the one text the engine writes itself.
+        for grade in Criticality:
+            text = fallback_output(grade).message.text
+            assert ("alarm activated" in text) == alarm_for(grade), grade
+        assert "responders have been notified" in fallback_output(Criticality.HIGH).message.text
 
     def test_slow_no_hazard_step_keeps_alarm_clear(self, empty_obs, scripted):
         engine = Engine()

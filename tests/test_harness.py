@@ -248,7 +248,7 @@ class TestScenarioFiles:
     def test_json_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text('{\n  "format": "hazcom-scenarios-v1",\n  broken\n}')
-        with pytest.raises(ConfigurationError, match="suite.json:3"):
+        with pytest.raises(ConfigurationError, match=r"suite\.json: not JSON: .*: line 3 column 3"):
             load_scenarios(path)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -270,8 +270,10 @@ class TestScenarioFiles:
     def test_deeply_nested_file_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text("[" * 200_000, encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="nested too deeply"):
+        with pytest.raises(ConfigurationError) as caught:
             load_scenarios(path)
+        assert str(caught.value).startswith(f"{path}: not JSON: ")
+        assert type(caught.value.__cause__) is RecursionError
 
     def test_integer_too_long_to_read_is_a_configuration_error(self, tmp_path):
         # json.loads refuses integers past 4,300 digits with a plain ValueError.
@@ -282,8 +284,21 @@ class TestScenarioFiles:
                         encoding="utf-8")
         with pytest.raises(ConfigurationError) as caught:
             load_scenarios(path)
-        assert str(caught.value).startswith(f"{path}: unreadable JSON: ")
+        assert str(caught.value).startswith(f"{path}: not JSON: ")
         assert "5001 digits" in str(caught.value)
+
+    def test_id_with_a_lone_surrogate_is_a_configuration_error(self, tmp_path):
+        # JSON's \ud800 escape reads as a lone surrogate, which UTF-8 cannot encode.
+        path = tmp_path / "suite.json"
+        save_scenarios(path, builtin_suite())
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"S1-knife-unsafe-area"') == 1
+        path.write_text(text.replace('"S1-knife-unsafe-area"', '"bad\\ud800id"'),
+                        encoding="utf-8")
+        with pytest.raises(ConfigurationError) as caught:
+            load_scenarios(path)
+        assert str(caught.value) == (
+            f"{path}: scenario 0: 'id' must be UTF-8 text, got 'bad\\ud800id'")
 
     @pytest.mark.parametrize("index, change, message", [
         (0, {"id": 5}, "scenario 0: 'id' must be a string, got 5"),

@@ -486,7 +486,7 @@ class TestHttpTransport:
     def test_deeply_nested_reply_falls_back(self, s1_obs, stub_server, monkeypatch):
         monkeypatch.setattr(_StubHandler, "raw_body", b"[" * 200_000)
         backend = RemoteBackend(stub_server, timeout_ticks=50)
-        with pytest.raises(BackendResponseError, match="non-JSON"):
+        with pytest.raises(BackendResponseError, match="not JSON"):
             backend.assess(s1_obs)
         result = Engine().step(s1_obs, backend)
         assert result.fallback_used
@@ -773,14 +773,24 @@ class TestPostJsonErrors:
         with pytest.raises(BackendError) as caught:
             self.post(stub_server)
         assert type(caught.value) is BackendResponseError
-        assert str(caught.value).startswith(f"non-JSON response from {stub_server}: ")
+        assert str(caught.value).startswith(f"response from {stub_server}: not JSON: ")
 
     def test_integer_too_long_to_read_is_a_response_error(self, stub_server, monkeypatch):
         monkeypatch.setattr(_StubHandler, "raw_body", b'{"score": ' + b"9" * 5001 + b"}")
         with pytest.raises(BackendError) as caught:
             self.post(stub_server)
         assert type(caught.value) is BackendResponseError
-        assert str(caught.value).startswith(f"unreadable JSON response from {stub_server}: ")
+        assert str(caught.value).startswith(f"response from {stub_server}: not JSON: ")
+
+    def test_utf16_body_is_a_response_error(self, stub_server, monkeypatch):
+        # json.loads would read these bytes; a reply body is UTF-8 alone.
+        monkeypatch.setattr(_StubHandler, "raw_body",
+                            json.dumps(VALID_RESPONSE).encode("utf-16"))
+        with pytest.raises(BackendError) as caught:
+            self.post(stub_server)
+        assert type(caught.value) is BackendResponseError
+        assert str(caught.value).startswith(
+            f"response from {stub_server}: not JSON: 'utf-8' codec can't decode")
 
 
 def test_import_loads_no_http_client_library():

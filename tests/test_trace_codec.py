@@ -233,7 +233,7 @@ def _read_checked(path):
 def _agree(path):
     """Assert that ``read_trace`` gives the checked path's outcome on the
     file; return how many of its lines ``read_trace`` decoded as JSON."""
-    with mock.patch.object(engine, "_document", wraps=engine._document) as checked:
+    with mock.patch.object(engine, "parse_json", wraps=engine.parse_json) as checked:
         outcome = _outcome(read_trace, path)
     assert outcome == _outcome(_read_checked, path)
     return checked.call_count
@@ -446,7 +446,7 @@ class TestReaderAgreesWithCheckedPath:
         write_trace(path, records)
         for _ in range(2):
             assert read_trace(path) == records
-        with mock.patch.object(engine, "_document", side_effect=AssertionError):
+        with mock.patch.object(engine, "parse_json", side_effect=AssertionError):
             assert read_trace(path) == records
         assert len(engine._SHAPES) <= engine._SHAPES_SIZE
 
